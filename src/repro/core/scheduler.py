@@ -9,10 +9,10 @@ deployment-time transformation produces: it wraps a user
   pending message (vt *t*) runs only when every other input wire is
   accounted (data or silence) through *t* (paper II.E).  Candidate
   selection is heap-backed: a lazy min-heap of per-wire head
-  :class:`~repro.vt.time.MessageKey` entries (per-wire virtual times are
-  strictly increasing, so the head of each pending deque is its
-  minimum), cleaned as stale entries surface, replaces the historical
-  every-event scan of ``in_wires``,
+  ``(vt, wire_id, seq)`` tuples, the :class:`~repro.vt.time.MessageKey`
+  order (per-wire virtual times are strictly increasing, so the head of
+  each pending deque is its minimum), cleaned as stale entries surface,
+  replaces the historical every-event scan of ``in_wires``,
 * estimator-driven output timestamping,
 * silence-fact computation for curiosity probes and aggressive
   heartbeats (paper II.H),
@@ -55,7 +55,7 @@ from repro.errors import (
 )
 from repro.vt.silence import SilenceMap
 from repro.vt.ticks import TickStreamReceiver, TickStreamSender
-from repro.vt.time import NEVER, MessageKey
+from repro.vt.time import NEVER
 
 
 @dataclass
@@ -180,7 +180,8 @@ class ComponentRuntime:
         # call catches up), keyed by (wire_id, call_id).
         self._reply_buffer: Dict[Tuple[int, int], CallReply] = {}
         # Pessimism-delay bookkeeping.
-        self._delay_key: Optional[MessageKey] = None
+        # (vt, wire_id, seq) of the message held by the pessimistic rule.
+        self._delay_key: Optional[Tuple[int, int, int]] = None
         self._delay_start = 0
         # Curiosity probe bookkeeping.
         self._probe_outstanding: Dict[int, bool] = {}
@@ -191,11 +192,12 @@ class ComponentRuntime:
         # Wires with an outstanding replay: their arrivals may carry old
         # virtual times, so local freshness assumptions are suspended.
         self._replay_pending: set = set()
-        # Lazy min-heap of (head MessageKey, wire_id) over the pending
+        # Lazy min-heap of head (vt, wire_id, seq) keys — MessageKey's
+        # order as plain tuples, compared in C — over the pending
         # queues: per-wire virtual times strictly increase, so each
         # wire's head is its minimum and the heap top (after discarding
         # stale entries) is the global dispatch candidate.
-        self._head_heap: List[Tuple[MessageKey, int]] = []
+        self._head_heap: List[Tuple[int, int, int]] = []
         # Wires flagged external at wiring time.  The hosting layer may
         # clear ``wire.external`` in place later (networked deployments
         # drop the local-clock freshness bound), so the fast paths check
@@ -301,7 +303,7 @@ class ComponentRuntime:
         if len(wire.pending) == 1:
             # New head: appends to a non-empty queue never change the
             # head (per-wire virtual times strictly increase).
-            heapq.heappush(self._head_heap, (msg.key(), msg.wire_id))
+            heapq.heappush(self._head_heap, (msg.vt, msg.wire_id, msg.seq))
         self.silence.advance(msg.wire_id, msg.vt)
         self._probe_outstanding[msg.wire_id] = False
         if self.observer is not None:
@@ -401,8 +403,8 @@ class ComponentRuntime:
         wire = self.in_wires[top[1]]
         return wire.pending[0], wire
 
-    def _clean_head(self) -> Optional[Tuple[MessageKey, int]]:
-        """The live (head key, wire_id) heap top, discarding stale entries.
+    def _clean_head(self) -> Optional[Tuple[int, int, int]]:
+        """The live (vt, wire_id, seq) heap top, discarding stale entries.
 
         An entry is live iff it still names the head of its wire's
         pending queue; anything else (dispatched head, emptied queue) is
@@ -410,16 +412,17 @@ class ComponentRuntime:
         """
         heap = self._head_heap
         while heap:
-            key, wire_id = heap[0]
-            wire = self.in_wires.get(wire_id)
-            if (wire is not None and wire.pending
-                    and wire.pending[0].key() == key):
-                return heap[0]
+            top = heap[0]
+            wire = self.in_wires.get(top[1])
+            if wire is not None and wire.pending:
+                head = wire.pending[0]
+                if head.seq == top[2] and head.vt == top[0]:
+                    return top
             heapq.heappop(heap)
         return None
 
     def _enter_pessimism_delay(self, msg: DataMessage) -> None:
-        key = msg.key()
+        key = (msg.vt, msg.wire_id, msg.seq)
         if self._delay_key != key:
             self._delay_key = key
             self._delay_start = self.services.sim.now
@@ -433,16 +436,15 @@ class ComponentRuntime:
     def _dispatch(self, msg: DataMessage, wire: InWireState) -> None:
         if self.observer is not None:
             self.observer.on_dispatch(self, msg)
-        if self._delay_key == msg.key():
+        if self._delay_key == (msg.vt, msg.wire_id, msg.seq):
             held = self.services.sim.now - self._delay_start
             self.services.metrics.add("pessimism_delay_ticks", held)
         self._clear_delay()
         wire.pending.popleft()
         if wire.pending and self.deterministic:
-            heapq.heappush(
-                self._head_heap,
-                (wire.pending[0].key(), wire.spec.wire_id),
-            )
+            head = wire.pending[0]
+            heapq.heappush(self._head_heap,
+                           (head.vt, head.wire_id, head.seq))
         handler_spec = wire.handler_spec
         dequeue_vt = max(msg.vt, self.component_vt)
         features = handler_spec.cost.features(msg.payload)
@@ -747,7 +749,7 @@ class ComponentRuntime:
             return NEVER
         if not any(w.external for w in self._external_flagged):
             head = self._clean_head()
-            head_min = head[0].vt if head is not None else NEVER
+            head_min = head[0] if head is not None else NEVER
             return min(head_min, self.silence.min_horizon() + 1)
         now = self.services.sim.now
         earliest = NEVER
@@ -922,7 +924,7 @@ class ComponentRuntime:
                 decode_message(item) for item in items
             )
         self._head_heap = [
-            (wire.pending[0].key(), wid)
+            (wire.pending[0].vt, wid, wire.pending[0].seq)
             for wid, wire in self.in_wires.items()
             if wire.pending
         ]

@@ -19,6 +19,7 @@ This module builds both layers from scratch:
 from __future__ import annotations
 
 import random
+from functools import partial
 from typing import Any, Callable, Dict, Optional
 
 from repro.errors import TransportError
@@ -59,6 +60,7 @@ class RawLink:
         self.fault = fault or LinkFault()
         self.serialize_ticks = int(serialize_ticks)
         self._free_at = 0
+        self._label = f"link:{name}"
         #: Diagnostics.
         self.frames_sent = 0
         self.frames_dropped = 0
@@ -90,7 +92,7 @@ class RawLink:
             delay = queue_wait + self.delay.sample(self.rng)
             if self.fault.reorder_extra is not None:
                 delay += self.fault.reorder_extra.sample(self.rng)
-            self.sim.after(delay, lambda f=frame: deliver(f), f"link:{self.name}")
+            self.sim.after(delay, partial(deliver, frame), self._label)
         return queue_wait
 
 
@@ -128,7 +130,11 @@ class ReliableChannel:
         # the measured RTT and with it the timeout, so congestion damps
         # retransmission instead of feeding it.
         self._srtt: Optional[float] = None
-        self._tx_meta: Dict[int, tuple] = {}  # seq -> (last_tx, retransmitted)
+        # seq -> (last_tx, retransmitted, retransmit timer).  A frame's
+        # timer is cancelled when the frame is acked, retransmitted, or
+        # its epoch ends, so a timer that fires always owns its frame.
+        self._tx_meta: Dict[int, tuple] = {}
+        self._retx_label = f"retx:{name}"
         # Fast retransmit: repeated acks for the same prefix mean the
         # next frame was lost while later ones arrived.
         self._last_ack_value = -1
@@ -168,23 +174,16 @@ class ReliableChannel:
         item = self._unacked[seq]
         frame = ("data", self._epoch, seq, item)
         queue_wait = self.data_link.transmit(frame, self._on_frame)
-        _prev = self._tx_meta.get(seq)
-        token = (_prev[2] + 1) if _prev else 0
-        self._tx_meta[seq] = (self.sim.now, not first, token)
+        prev = self._tx_meta.get(seq)
+        if prev is not None:
+            prev[2].cancel()
         backoff = min(self._effective_rto() * (2 ** (attempt - 1)),
                       self.max_backoff * self.rto)
-        epoch = self._epoch
-
-        def _check() -> None:
-            if epoch != self._epoch or seq not in self._unacked:
-                return
-            meta = self._tx_meta.get(seq)
-            if meta is None or meta[2] != token:
-                return  # a newer transmission owns the timer now
-            self._transmit_frame(seq, attempt + 1, first=False)
-
-        self.sim.after(queue_wait + backoff, _check,
-                       f"retx:{self.name}:{seq}")
+        timer = self.sim.after(queue_wait + backoff,
+                               partial(self._transmit_frame, seq,
+                                       attempt + 1, False),
+                               self._retx_label)
+        self._tx_meta[seq] = (self.sim.now, not first, timer)
 
     # -- receiver side ---------------------------------------------------
     def _on_frame(self, frame) -> None:
@@ -216,9 +215,9 @@ class ReliableChannel:
         acked = [s for s in self._unacked if s < next_expected]
         for seq in acked:
             del self._unacked[seq]
-            last_tx, retransmitted, _token = self._tx_meta.pop(
-                seq, (None, True, 0))
-            if not retransmitted and last_tx is not None:
+            last_tx, retransmitted, timer = self._tx_meta.pop(seq)
+            timer.cancel()
+            if not retransmitted:
                 # Karn's rule: only unambiguous samples train the RTT.
                 sample = float(self.sim.now - last_tx)
                 if self._srtt is None:
@@ -245,6 +244,8 @@ class ReliableChannel:
         TART's replay protocol recovers from.
         """
         self._epoch += 1
+        for _last_tx, _retransmitted, timer in self._tx_meta.values():
+            timer.cancel()
         self._send_seq = 0
         self._unacked.clear()
         self._tx_meta.clear()

@@ -55,7 +55,7 @@ class ExternalMessageLog:
                 f"log {self.wire_id}: seq {from_seq} was garbage-collected "
                 f"(stable through {self._truncated_through})"
             )
-        return [e for e in self._entries[from_seq:] if e is not None]
+        return self._entries[from_seq:]  # tombstones all lie below
 
     def last_vt(self) -> int:
         """Virtual time of the newest entry (-1 if empty)."""
@@ -65,14 +65,14 @@ class ExternalMessageLog:
         """Garbage-collect a stable prefix (downstream checkpoint covers it).
 
         Entries are replaced with tombstones rather than shifted so that
-        sequence numbers remain stable.  Returns the number of entries
+        sequence numbers remain stable.  Everything through
+        ``_truncated_through`` is already a tombstone, so only the new
+        part of the prefix is visited.  Returns the number of entries
         collected.
         """
-        collected = 0
-        for i in range(min(seq_inclusive + 1, len(self._entries))):
-            if self._entries[i] is not None:
-                self._entries[i] = None  # type: ignore[assignment]
-                collected += 1
-        self._truncated_through = max(self._truncated_through,
-                                      min(seq_inclusive, len(self._entries) - 1))
-        return collected
+        start = self._truncated_through + 1
+        stop = min(seq_inclusive + 1, len(self._entries))
+        for i in range(start, stop):
+            self._entries[i] = None  # type: ignore[assignment]
+        self._truncated_through = max(self._truncated_through, stop - 1)
+        return max(0, stop - start)

@@ -22,7 +22,7 @@ its determinism easy to audit.
 from __future__ import annotations
 
 import heapq
-from typing import Any, Callable, Dict, List, Optional
+from typing import Any, Callable, Dict, List, Optional, Tuple
 
 from repro.errors import SimulationError
 
@@ -54,9 +54,11 @@ def seconds(n: float) -> int:
 class Event:
     """A scheduled callback.
 
-    Events compare by ``(time, seq)``; ``seq`` is a kernel-wide counter
-    assigned when the event is scheduled, making the execution order a
-    deterministic function of the scheduling order.
+    The simulator's heap holds ``(time, seq, event)`` tuples, so events
+    are ordered by ``(time, seq)`` with the comparison done in C;
+    ``seq`` is a kernel-wide counter assigned when the event is
+    scheduled, making the execution order a deterministic function of
+    the scheduling order.
     """
 
     __slots__ = ("time", "seq", "fn", "label", "cancelled")
@@ -71,9 +73,6 @@ class Event:
     def cancel(self) -> None:
         """Prevent the event from firing.  Safe to call more than once."""
         self.cancelled = True
-
-    def __lt__(self, other: "Event") -> bool:
-        return (self.time, self.seq) < (other.time, other.seq)
 
     def __repr__(self) -> str:  # pragma: no cover - debugging aid
         state = " cancelled" if self.cancelled else ""
@@ -92,7 +91,9 @@ class Simulator:
 
     def __init__(self, trace_hook: Optional[Callable[[int, str], None]] = None):
         self._now = 0
-        self._heap: List[Event] = []
+        #: Heap of ``(time, seq, event)``; ``seq`` is unique, so tuple
+        #: comparison never reaches the event.
+        self._heap: List[Tuple[int, int, Event]] = []
         self._seq = 0
         self._running = False
         self._trace_hook = trace_hook
@@ -126,9 +127,10 @@ class Simulator:
             raise SimulationError(
                 f"cannot schedule event '{label}' at {time}, now is {self._now}"
             )
-        ev = Event(int(time), self._seq, fn, label)
-        self._seq += 1
-        heapq.heappush(self._heap, ev)
+        seq = self._seq
+        self._seq = seq + 1
+        ev = Event(int(time), seq, fn, label)
+        heapq.heappush(self._heap, (ev.time, seq, ev))
         return ev
 
     def after(self, delay: int, fn: Callable[[], None], label: str = "") -> Event:
@@ -149,19 +151,16 @@ class Simulator:
 
         Returns ``False`` when the heap is exhausted.
         """
-        while self._heap:
-            ev = heapq.heappop(self._heap)
-            if ev.cancelled:
-                continue
-            if ev.time < self._now:  # pragma: no cover - defensive
-                raise SimulationError("event heap time went backwards")
-            self._now = ev.time
-            if self._trace_hook is not None:
-                self._trace_hook(ev.time, ev.label)
-            self._event_count += 1
-            ev.fn()
-            return True
-        return False
+        ev = self._peek()
+        if ev is None:
+            return False
+        heapq.heappop(self._heap)
+        self._now = ev.time
+        if self._trace_hook is not None:
+            self._trace_hook(ev.time, ev.label)
+        self._event_count += 1
+        ev.fn()
+        return True
 
     def run(self, until: Optional[int] = None, max_events: Optional[int] = None) -> None:
         """Run until the heap empties, ``until`` is reached, or ``max_events``.
@@ -169,22 +168,34 @@ class Simulator:
         When ``until`` is given, all events strictly before it are
         executed and the clock is advanced to ``until``; events at or
         after ``until`` stay queued so the simulation can be resumed.
+        Stopping at ``max_events`` leaves the clock at the last event.
         """
         if self._running:
             raise SimulationError("simulator is not reentrant")
         self._running = True
+        # The loop below is ``step()`` inlined: it is the hottest loop of
+        # every simulated run.
+        heap = self._heap
+        pop = heapq.heappop
+        hook = self._trace_hook
+        budget = -1 if max_events is None else max(0, max_events)
         try:
-            executed = 0
-            while self._heap:
-                if max_events is not None and executed >= max_events:
+            while heap:
+                if budget == 0:
                     return
-                nxt = self._peek()
-                if nxt is None:
+                time, _seq, ev = heap[0]
+                if ev.cancelled:
+                    pop(heap)
+                    continue
+                if until is not None and time >= until:
                     break
-                if until is not None and nxt.time >= until:
-                    break
-                self.step()
-                executed += 1
+                pop(heap)
+                budget -= 1
+                self._now = time
+                if hook is not None:
+                    hook(time, ev.label)
+                self._event_count += 1
+                ev.fn()
             if until is not None and until > self._now:
                 self._now = until
         finally:
@@ -192,13 +203,14 @@ class Simulator:
 
     def _peek(self) -> Optional[Event]:
         """Return the next live event without executing it."""
-        while self._heap and self._heap[0].cancelled:
-            heapq.heappop(self._heap)
-        return self._heap[0] if self._heap else None
+        heap = self._heap
+        while heap and heap[0][2].cancelled:
+            heapq.heappop(heap)
+        return heap[0][2] if heap else None
 
     def pending(self) -> int:
         """Number of live (non-cancelled) events still queued."""
-        return sum(1 for ev in self._heap if not ev.cancelled)
+        return sum(1 for _t, _s, ev in self._heap if not ev.cancelled)
 
     def next_event_time(self) -> Optional[int]:
         """Time of the next live event, or ``None`` if the heap is empty."""

@@ -147,3 +147,48 @@ class TestReliableChannel:
         sim.at(us(500), lambda: setattr(fault, "down", False))
         sim.run()
         assert received == ["x"]
+
+
+class TestRetransmitTimers:
+    def test_acked_frames_leave_no_pending_events(self):
+        sim = Simulator()
+        channel, received = make_channel(sim)
+        for i in range(10):
+            channel.send(i)
+        sim.run(until=us(101))  # one round trip: every frame is acked
+        assert received == list(range(10))
+        assert channel.in_flight == 0
+        assert sim.pending() == 0
+
+    def test_reset_cancels_the_old_epochs_timers(self):
+        sim = Simulator()
+        channel, received = make_channel(sim, loss_prob=1.0)
+        for i in range(5):
+            channel.send(i)
+        channel.reset()
+        assert sim.pending() == 0
+        channel.data_link.fault.loss_prob = 0.0
+        channel.ack_link.fault.loss_prob = 0.0
+        channel.send("fresh")
+        sim.run()
+        assert received == ["fresh"]
+
+    # Retransmission counts recorded from the reference implementation:
+    # cancelling acked frames' timers must not move a single timeout.
+    @pytest.mark.parametrize("items, fault, retransmissions", [
+        (200, dict(loss_prob=0.2, dup_prob=0.2), 530),
+        (200, dict(loss_prob=0.3, dup_prob=0.1,
+                   reorder_extra=Uniform(0, us(150))), 627),
+        (50, dict(loss_prob=0.4), 152),
+    ])
+    def test_lossy_delivery_is_exactly_once_with_pinned_retransmissions(
+            self, items, fault, retransmissions):
+        sim = Simulator()
+        channel, received = make_channel(sim, **fault)
+        for i in range(items):
+            channel.send(i)
+        sim.run()
+        assert received == list(range(items))
+        assert channel.retransmissions == retransmissions
+        assert channel.in_flight == 0
+        assert sim.pending() == 0

@@ -71,3 +71,57 @@ class TestTruncation:
         log.truncate_through(0)
         assert log.append(20, "b") == 1
         assert log.entries_from(1) == [(1, 20, "b")]
+
+
+class TestIncrementalTruncation:
+    @staticmethod
+    def _log(n):
+        log = ExternalMessageLog(1)
+        for i in range(n):
+            log.append(i * 10, f"p{i}")
+        return log
+
+    def test_overlapping_truncations_count_only_new_entries(self):
+        log = self._log(10)
+        assert log.truncate_through(3) == 4
+        assert log.truncate_through(5) == 2
+        assert log.truncate_through(2) == 0
+        assert log.truncate_through(8) == 3
+        assert log.entries_from(9) == [(9, 90, "p9")]
+
+    def test_repeated_truncation_is_idempotent(self):
+        log = self._log(6)
+        assert log.truncate_through(4) == 5
+        assert log.truncate_through(4) == 0
+        assert log.entries_from(5) == [(5, 50, "p5")]
+
+    def test_truncation_past_the_end_collects_what_exists(self):
+        log = self._log(4)
+        assert log.truncate_through(100) == 4
+        assert log.entries_from(4) == []
+        log.append(40, "p4")
+        log.append(50, "p5")
+        assert log.entries_from(4) == [(4, 40, "p4"), (5, 50, "p5")]
+        assert log.truncate_through(100) == 2
+        assert log.truncate_through(100) == 0
+
+    def test_truncating_an_empty_log(self):
+        log = ExternalMessageLog(1)
+        assert log.truncate_through(3) == 0
+        log.append(0, "p0")
+        assert log.entries_from(0) == [(0, 0, "p0")]
+
+    def test_replay_below_the_gc_point_is_rejected(self):
+        log = self._log(8)
+        log.truncate_through(2)
+        log.truncate_through(5)
+        for seq in range(6):
+            with pytest.raises(RecoveryError):
+                log.entries_from(seq)
+        assert [e[0] for e in log.entries_from(6)] == [6, 7]
+
+    def test_tombstones_keep_sequence_numbers(self):
+        log = self._log(5)
+        log.truncate_through(1)
+        assert log.append(50, "p5") == 5
+        assert len(log) == 6

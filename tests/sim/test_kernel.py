@@ -204,3 +204,84 @@ class TestProcessor:
         proc.execute(0, lambda: done.append(sim.now))
         sim.run()
         assert done == [0]
+
+
+class TestHeapOrder:
+    def test_equal_time_fifo_across_entry_points_with_cancellations(self):
+        sim = Simulator()
+        order = []
+        doomed = []
+
+        def at_ten():
+            order.append("at")
+            sim.call_soon(lambda: order.append("soon-1"))
+            doomed.append(sim.after(0, lambda: order.append("never-1")))
+            sim.after(0, lambda: order.append("after-0"))
+            doomed.append(sim.call_soon(lambda: order.append("never-2")))
+            sim.at(10, lambda: order.append("at-10"))
+            for ev in doomed:
+                ev.cancel()
+
+        sim.at(10, at_ten)
+        sim.after(10, lambda: order.append("after-10"))
+        sim.at(10, lambda: order.append("at-10-b")).cancel()
+        sim.at(10, lambda: order.append("at-10-c"))
+        sim.run()
+        assert order == ["at", "after-10", "at-10-c", "soon-1", "after-0",
+                         "at-10"]
+        assert sim.events_executed == 6
+        assert sim.pending() == 0
+
+    def test_events_at_until_stay_queued_and_resume(self):
+        sim = Simulator()
+        fired = []
+        sim.at(10, lambda: sim.at(50, lambda: fired.append("late")))
+        sim.at(50, lambda: fired.append("boundary"))
+        sim.at(49, lambda: fired.append("before"))
+        sim.run(until=50)
+        assert fired == ["before"]
+        assert sim.now == 50
+        assert sim.pending() == 2
+        assert sim.next_event_time() == 50
+        sim.run(until=51)
+        assert fired == ["before", "boundary", "late"]
+        assert sim.now == 51
+
+    def test_max_events_counts_only_executed_events(self):
+        sim = Simulator()
+        fired = []
+        for i in range(6):
+            ev = sim.at(i, lambda i=i: fired.append(i))
+            if i % 2 == 0:
+                ev.cancel()
+        sim.run(max_events=2)
+        assert fired == [1, 3]
+        assert sim.events_executed == 2
+        sim.run(max_events=5)
+        assert fired == [1, 3, 5]
+
+    def test_max_events_stop_leaves_clock_short_of_until(self):
+        sim = Simulator()
+        sim.at(5, lambda: None)
+        sim.at(7, lambda: None)
+        sim.run(until=100, max_events=1)
+        assert sim.now == 5
+        assert sim.pending() == 1
+
+    def test_step_skips_cancelled_and_reports_exhaustion(self):
+        sim = Simulator()
+        fired = []
+        sim.at(3, lambda: fired.append(3)).cancel()
+        sim.at(4, lambda: fired.append(4))
+        assert sim.step() is True
+        assert fired == [4] and sim.now == 4
+        assert sim.step() is False
+
+    def test_cancelled_events_leave_no_trace(self):
+        seen = []
+        sim = Simulator(trace_hook=lambda t, label: seen.append(label))
+        sim.at(1, lambda: None, "keep")
+        sim.at(1, lambda: None, "drop").cancel()
+        sim.run()
+        assert seen == ["keep"]
+        assert sim.events_executed == 1
