@@ -16,9 +16,12 @@ invariant.  It mirrors the engine's shipped checkpoint chain (decoding
 the very bytes the replica receives) and, at each checkpoint boundary,
 rolls the chain forward with a fresh incremental delta — exactly what a
 replica-plus-replay would compute, because a delta carries every
-*tracked* mutation since the last capture.  The rebuilt state is then
-compared component-by-component against the live engine's canonical
-:mod:`repro.runtime.checkpoint` bytes:
+*tracked* mutation since the last capture.  The merge takes every
+runtime metadata field (tick-stream positions, silence, pending queues)
+from that delta, which is the live runtime's own, so only the rebuilt
+*cells* can differ: they are compared component-by-component against
+the live cells as canonical :mod:`repro.runtime.checkpoint` bytes —
+never with ``==``, under which ``1 == 1.0 == True``:
 
 * equal bytes — the recovery path is proven equivalent to the live
   state *right now*, not just at test time;
@@ -33,7 +36,13 @@ compared component-by-component against the live engine's canonical
 
 The audit is a pure read unless it heals, and healing restores
 byte-identical pre-corruption state at a message boundary, so audited
-runs produce byte-identical output streams to unaudited ones.
+runs produce byte-identical output streams to unaudited ones.  Nothing
+runs between the audit and the capture at the same boundary, so an
+incremental capture ships the delta snapshots the audit just checked
+(:meth:`DivergenceAuditor.take_deltas`) rather than taking its own; a
+healed boundary's forced full capture snapshots the restored state.
+The ``audit.rebuild_us`` gauge covers the one delta snapshot, the fold
+and the cell comparison.
 
 Detection limits: a corruption that *does* go through the cell API (and
 is therefore dirty-tracked) is indistinguishable from legitimate
@@ -79,6 +88,8 @@ class DivergenceAuditor:
         self._base_cp_seq = -1
         self._base_captured_at = -1
         self._captures_since_audit = 0
+        #: The delta snapshots the last audit took, unless it healed.
+        self._deltas: Optional[Dict[str, dict]] = None
         # Outcome counters (also exported as metrics / gauges).
         self.checks = 0
         self.divergences = 0
@@ -125,16 +136,21 @@ class DivergenceAuditor:
         if self._base is None:
             raise StateError(f"{engine.engine_id}: no chain to audit against")
         self._captures_since_audit = 0
+        self._deltas = None
         started = time.perf_counter()
         # Roll the mirrored chain forward with a fresh delta: this is the
         # state a replica-plus-replay would reach at this boundary.
+        # The merge takes every metadata field from the delta itself, so
+        # only the rebuilt cells can differ from the live runtime.
         rebuilt: Dict[str, dict] = {}
+        deltas: Dict[str, dict] = {}
         diverged = []
         for name, rt in engine.runtimes.items():
-            delta = rt.snapshot(incremental=True)
+            delta = deltas[name] = rt.snapshot(incremental=True)
             rebuilt[name] = merge_component_snapshots(self._base[name], delta)
-            live = rt.snapshot(incremental=False)
-            if cpser.dumps(rebuilt[name]) != cpser.dumps(live):
+            live_cells = rt.component.state.full_snapshot()
+            if (cpser.dumps(rebuilt[name]["cells"])
+                    != cpser.dumps(live_cells)):
                 diverged.append(name)
         rebuild_us = (time.perf_counter() - started) * 1e6
         self.checks += 1
@@ -144,6 +160,7 @@ class DivergenceAuditor:
             span = engine.sim.now - self._base_captured_at
             self.cadence.observe_replay(span, rebuild_us / 1000.0)
         if not diverged:
+            self._deltas = deltas
             return "clean"
         self.divergences += 1
         metrics.count("audit.divergences")
@@ -156,9 +173,21 @@ class DivergenceAuditor:
             # double-execute.  Detection stands; healing waits.
             self.deferred += 1
             metrics.count("audit.deferred")
+            self._deltas = deltas
             return "deferred"
         self._heal(rebuilt, diverged)
         return "healed"
+
+    def take_deltas(self) -> Optional[Dict[str, dict]]:
+        """Hand over the last audit's delta snapshots, once.
+
+        Nothing runs between an audit and its capture at the same
+        boundary, so an incremental capture ships these instead of
+        snapshotting again.  ``None`` after a heal (the live state was
+        replaced) or when no audit ran since the last hand-over.
+        """
+        deltas, self._deltas = self._deltas, None
+        return deltas
 
     def _heal(self, rebuilt: Dict[str, dict], diverged) -> None:
         """Quarantine live state and install the rebuilt snapshots."""

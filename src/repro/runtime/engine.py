@@ -474,6 +474,7 @@ class ExecutionEngine:
         self._cp_retries = 0
         force_full = False
         avoid_full = False
+        deltas = None
         if self.auditor is not None and self.auditor.due():
             outcome = self.auditor.audit_once()
             # A heal restarts the chain from healed state; a deferred
@@ -481,13 +482,21 @@ class ExecutionEngine:
             # into the chain.
             force_full = outcome == "healed"
             avoid_full = outcome == "deferred"
-        self.capture_checkpoint(force_full=force_full, avoid_full=avoid_full)
+            deltas = self.auditor.take_deltas()
+        self.capture_checkpoint(force_full=force_full, avoid_full=avoid_full,
+                                deltas=deltas)
         self.sim.after(self._next_interval(), self._checkpoint_tick,
                        f"cp:{self.engine_id}")
 
     def capture_checkpoint(self, force_full: bool = False,
-                           avoid_full: bool = False) -> int:
-        """Capture and ship one soft checkpoint; returns its cp_seq."""
+                           avoid_full: bool = False,
+                           deltas: Optional[Dict[str, dict]] = None) -> int:
+        """Capture and ship one soft checkpoint; returns its cp_seq.
+
+        ``deltas`` are incremental component snapshots already taken at
+        this boundary (the audit's); an incremental capture ships them
+        as they are instead of snapshotting again.
+        """
         if any(rt.mid_call for rt in self.runtimes.values()):
             raise SchedulingError(
                 f"{self.engine_id}: cannot checkpoint mid-call"
@@ -502,9 +511,11 @@ class ExecutionEngine:
             incremental = True
             self.metrics.count("audit.full_deferred")
         started = time.perf_counter()
-        components = {
-            name: rt.snapshot(incremental) for name, rt in self.runtimes.items()
-        }
+        if incremental and deltas is not None:
+            components = deltas
+        else:
+            components = {name: rt.snapshot(incremental)
+                          for name, rt in self.runtimes.items()}
         for rt in self.runtimes.values():
             rt.component.state.mark_clean()
         self._cp_ever_full = True

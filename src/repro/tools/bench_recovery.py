@@ -2,13 +2,14 @@
 the cadence controller reasons about, and write ``BENCH_recovery.json``.
 
 1. **Checkpoint capture** — wall microseconds to snapshot every
-   component on an engine and encode the canonical blob (both full and
-   incremental captures, measured separately).
+   component on an engine and encode the canonical blob, and the mean
+   blob size in bytes (full and incremental captures, measured
+   separately).
 2. **Replay rate** — virtual ticks of log replayed per wall second,
    measured over real in-simulator failovers (kill + promote + replay).
 3. **Audit rebuild** — wall microseconds for one divergence audit:
    fold the mirrored chain forward with a fresh delta and byte-compare
-   against live state.
+   the rebuilt cells against the live cells.
 
 These are the empirical inputs to the recovery-time objective
 (``docs/recovery.md``): capture cost bounds how often checkpointing is
@@ -62,22 +63,26 @@ def bench_capture(rounds: int = 200) -> Dict:
     dep = _build()
     dep.run(until=ms(50))
     engine = dep.engine("E1")
-    full: List[float] = []
-    incremental: List[float] = []
-    blob_bytes = 0.0
+    samples: Dict[bool, List[float]] = {True: [], False: []}
+    blob_bytes: Dict[bool, List[float]] = {True: [], False: []}
     for i in range(rounds):
         dep.run(until=dep.sim.now + ms(2))  # accumulate dirty state
         force_full = i % 2 == 0
+        bytes_before = dep.metrics.accumulator("checkpoint_bytes")
         started = time.perf_counter()
         engine.capture_checkpoint(force_full=force_full,
                                   avoid_full=not force_full)
-        elapsed_us = (time.perf_counter() - started) * 1e6
-        (full if force_full else incremental).append(elapsed_us)
-        blob_bytes = dep.metrics.gauge_value("cadence.checkpoint_bytes",
-                                             blob_bytes)
+        samples[force_full].append((time.perf_counter() - started) * 1e6)
+        blob_bytes[force_full].append(
+            dep.metrics.accumulator("checkpoint_bytes") - bytes_before)
+
+    def summary(full: bool) -> Dict:
+        return dict(_summary(samples[full]), mean_blob_bytes=round(
+            statistics.fmean(blob_bytes[full]), 1))
+
     return {
-        "full": _summary(full),
-        "incremental": _summary(incremental),
+        "full": summary(True),
+        "incremental": summary(False),
         "components_per_engine": len(engine.runtimes),
     }
 

@@ -7,6 +7,12 @@ draw.  The pinned values were recorded from a reference build of the
 runtime.  An optimisation of the kernel, the link or the scheduler that
 reorders one event, or draws one extra random number, changes at least
 one of them.
+
+The audited fan-in deployments also pin the checkpoint path: a hash of
+every shipped checkpoint blob in send order, the capture and byte
+counts, and the divergence audit's check, divergence and heal counts.
+``fanin_corrupt`` plants untracked corruption at fixed virtual times,
+so its pins cover detection and healing as well.
 """
 
 import hashlib
@@ -21,9 +27,11 @@ from repro.apps.fanin import (
 )
 from repro.apps.pipeline import build_pipeline_app, reading_factory
 from repro.apps.wordcount import birth_of
+from repro.core.message import CheckpointData
 from repro.core.silence_policy import CuriositySilencePolicy
 from repro.net.topology import ClusterSpec, stream_of
 from repro.runtime.app import Deployment
+from repro.runtime.audit import corrupt_component_state
 from repro.runtime.engine import EngineConfig
 from repro.runtime.placement import Placement
 from repro.runtime.transport import LinkParams
@@ -76,12 +84,33 @@ def _fanin(seed, span, fail_every):
     return dep
 
 
+#: (virtual time, engine, component) of each planted corruption.  A
+#: corrupted value cell that its component writes again before the next
+#: checkpoint ships in that delta (the audit's documented detection
+#: limit), so the first corruption lands under traffic and is absorbed;
+#: the rest land after the producers stop at 300 ms and are healed.
+CORRUPTIONS = ((ms(100) - us(1), "E2", "merger"),
+               (ms(350) + us(1), "E1", "sender1"),
+               (ms(420) + us(1), "E2", "merger"),
+               (ms(480) + us(1), "E1", "sender2"))
+
+
+def _fanin_corrupt(seed):
+    dep = _fanin(seed, ms(300), fail_every=ms(200))
+    for at, engine_id, component in CORRUPTIONS:
+        dep.sim.at(at, lambda e=engine_id, c=component:
+                   corrupt_component_state(dep.engine(e), c),
+                   "test:corrupt")
+    return dep
+
+
 SPAN = ms(600)
 DEPLOYMENTS = {
     "pipeline": lambda: _pipeline(3, SPAN),
     "pipeline_lossy": lambda: _pipeline(4, SPAN, loss_prob=0.05,
                                         dup_prob=0.05),
     "fanin_failover": lambda: _fanin(5, SPAN, fail_every=ms(150)),
+    "fanin_corrupt": lambda: _fanin_corrupt(6),
 }
 
 
@@ -89,13 +118,42 @@ def _sha(obj) -> str:
     return hashlib.sha256(repr(obj).encode("utf-8")).hexdigest()[:16]
 
 
+def _record_checkpoints(dep):
+    """Hash every checkpoint the deployment ships, in send order."""
+    digest = hashlib.sha256()
+    send = dep.network.send
+
+    def recording_send(src_id, dst_id, item):
+        if isinstance(item, CheckpointData):
+            digest.update(f"{src_id}>{dst_id}:{item.cp_seq}:"
+                          f"{item.incremental}:{len(item.blob)}:"
+                          .encode("utf-8"))
+            digest.update(item.blob)
+        send(src_id, dst_id, item)
+
+    dep.network.send = recording_send
+    return digest
+
+
 def fingerprint(name):
     """Run one deployment to the end of its drain; summarize it."""
     dep = DEPLOYMENTS[name]()
+    audited = name.startswith("fanin")
+    if audited:
+        blobs = _record_checkpoints(dep)
     dep.run(until=SPAN + ms(100))
     m = dep.metrics
     channels = dep.network.channels()
+    audit_pins = {} if not audited else {
+        "checkpoint_blobs": blobs.hexdigest()[:16],
+        "checkpoints_captured": m.counter("checkpoints_captured"),
+        "checkpoint_bytes": m.accumulator("checkpoint_bytes"),
+        "audit_checks": m.counter("audit.checks"),
+        "audit_divergences": m.counter("audit.divergences"),
+        "audit_heals": m.counter("audit.heals"),
+    }
     return {
+        **audit_pins,
         "streams": _sha({sink: stream_of(c)
                          for sink, c in sorted(dep.consumers.items())}),
         "state": _sha(sorted(dep.state_digest().items())),
@@ -113,7 +171,38 @@ def fingerprint(name):
     }
 
 
-PINS = {"fanin_failover": {"curiosity_probes": 350,
+PINS = {"fanin_corrupt": {"audit_checks": 274,
+                          "audit_divergences": 3,
+                          "audit_heals": 3,
+                          "checkpoint_blobs": "3202f4d606e71630",
+                          "checkpoint_bytes": 277753,
+                          "checkpoints_captured": 277,
+                          "curiosity_probes": 192,
+                          "failovers": 1,
+                          "frames_sent": {"E1->E2": (445, 445),
+                                          "E1->ext:ext1": (139, 139),
+                                          "E1->ext:ext2": (139, 139),
+                                          "E1->replica:E1": (138, 138),
+                                          "E2->E1": (470, 470),
+                                          "E2->replica:E2": (139, 139),
+                                          "E2->sink": (252, 252),
+                                          "ext:ext1->E1": (114, 114),
+                                          "ext:ext2->E1": (143, 143),
+                                          "replica:E1->E1": (138, 138),
+                                          "replica:E2->E2": (139, 139)},
+                          "messages_processed": 506,
+                          "pessimism_delay_ticks": 38826037,
+                          "pessimism_events": 192,
+                          "retransmissions": 0,
+                          "state": "f68dde1bf7f08ddd",
+                          "streams": "3de054017255f8ff"},
+        "fanin_failover": {"audit_checks": 270,
+                           "audit_divergences": 0,
+                           "audit_heals": 0,
+                           "checkpoint_blobs": "575850279ff9fb5a",
+                           "checkpoint_bytes": 299448,
+                           "checkpoints_captured": 275,
+                           "curiosity_probes": 350,
                            "failovers": 3,
                            "frames_sent": {"E1->E2": (818, 818),
                                            "E1->ext:ext1": (139, 139),

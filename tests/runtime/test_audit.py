@@ -1,6 +1,11 @@
 """Divergence-auditor tests: detect, heal, raise, defer — in a real
 pipeline deployment, with untracked corruption injected mid-run.
 
+Also pins the audit's cost contract: the comparison is on canonical
+bytes (an equal value of another type is a divergence), and an audited
+incremental checkpoint takes one snapshot per component, shipping the
+very delta the audit checked.
+
 Also covers the bounded mid-call checkpoint retry (``checkpoint.retries``
 / ``checkpoint.stalls``) that keeps a stuck component from turning the
 checkpoint timer into a silent hot loop.
@@ -11,6 +16,7 @@ import pytest
 from repro.apps.callgraph import build_callgraph_app, request_factory
 from repro.apps.pipeline import build_pipeline_app, reading_factory
 from repro.apps.wordcount import birth_of
+from repro.core.scheduler import ComponentRuntime
 from repro.errors import DivergenceError, StateError
 from repro.runtime import checkpoint as cpser
 from repro.runtime.app import Deployment
@@ -22,7 +28,7 @@ from repro.sim.distributions import Constant
 from repro.sim.kernel import ms, us
 
 
-def build(audit="heal", audit_every=1, master_seed=7):
+def build(audit="heal", audit_every=1, master_seed=7, max_messages=None):
     """Pipeline on two engines; parser+enricher share the audited one."""
     app = build_pipeline_app(window=5)
     dep = Deployment(
@@ -34,7 +40,15 @@ def build(audit="heal", audit_every=1, master_seed=7):
         birth_of=birth_of,
     )
     dep.add_poisson_producer("readings", reading_factory(),
-                             mean_interarrival=ms(1))
+                             mean_interarrival=ms(1),
+                             max_messages=max_messages)
+    return dep
+
+
+def drained(audit):
+    """Audited pipeline whose workload has finished: every cell is idle."""
+    dep = build(audit=audit, max_messages=40)
+    dep.run(until=ms(100))
     return dep
 
 
@@ -119,22 +133,124 @@ class TestHealMode:
         # quiescent: once the component writes it again, the corruption
         # becomes tracked computation and ships in the next delta (the
         # documented detection limit).  So: drain traffic, then corrupt.
-        app = build_pipeline_app(window=5)
-        dep = Deployment(
-            app,
-            Placement({"parser": "E1", "enricher": "E1",
-                       "aggregator": "E2"}),
-            engine_config=EngineConfig(checkpoint_interval=ms(10),
-                                       audit="heal"),
-            master_seed=7, birth_of=birth_of,
-        )
-        dep.add_poisson_producer("readings", reading_factory(),
-                                 mean_interarrival=ms(1), max_messages=40)
-        dep.run(until=ms(100))  # workload finished and drained
+        dep = drained("heal")
         planted = corrupt_component_state(dep.engine("E1"), "parser")
         assert planted.startswith("parser.")
         dep.run(until=ms(200))
         assert dep.engine("E1").auditor.heals == 1
+
+
+def int_to_float(dep):
+    """Untracked ValueCell write: ``n`` becomes ``float(n)``."""
+    cell = dep.runtime("parser").component.accepted
+    assert type(cell._value) is int and cell._value > 0
+    cell._value = float(cell._value)
+    return "parser", lambda: type(cell._value) is int
+
+
+def one_to_true(dep):
+    """Untracked MapCell write: a shipped ``1`` becomes ``True``."""
+    devices = dep.runtime("enricher").component.devices
+    devices["flag"] = 1  # tracked: the next delta ships it
+    dep.run(until=dep.sim.now + ms(20))
+    devices._data["flag"] = True
+    return "enricher", lambda: type(devices._data["flag"]) is int
+
+
+TYPE_FLIPS = {"value_cell_int_to_float": int_to_float,
+              "map_cell_one_to_true": one_to_true}
+
+
+class TestByteExactComparison:
+    """Equal values of another type (``1 == 1.0 == True``) diverge."""
+
+    @pytest.mark.parametrize("flip", sorted(TYPE_FLIPS))
+    def test_raise_mode_catches_equal_value_type_change(self, flip):
+        dep = drained("raise")
+        victim, _ = TYPE_FLIPS[flip](dep)
+        with pytest.raises(DivergenceError) as exc_info:
+            dep.run(until=dep.sim.now + ms(30))
+        assert exc_info.value.components == (victim,)
+
+    @pytest.mark.parametrize("flip", sorted(TYPE_FLIPS))
+    def test_heal_mode_restores_the_shipped_type(self, flip):
+        dep = drained("heal")
+        _, restored = TYPE_FLIPS[flip](dep)
+        assert not restored()
+        dep.run(until=dep.sim.now + ms(30))
+        auditor = dep.engine("E1").auditor
+        assert (auditor.divergences, auditor.heals) == (1, 1)
+        assert restored()
+
+
+class TestOneSnapshotPerCheckpoint:
+    def test_incremental_tick_snapshots_each_component_once(
+            self, monkeypatch):
+        dep = build(audit="heal")
+        dep.run(until=ms(50))
+        engine = dep.engine("E1")
+        calls = []  # (virtual time, component, incremental)
+        snapshot = ComponentRuntime.snapshot
+
+        def counting(rt, incremental):
+            calls.append((dep.sim.now, rt.component.name, incremental))
+            return snapshot(rt, incremental)
+
+        monkeypatch.setattr(ComponentRuntime, "snapshot", counting)
+        shipped = []  # (virtual time, incremental)
+        note = engine.auditor.note_checkpoint
+
+        def noting(cp_seq, incremental, blob):
+            shipped.append((dep.sim.now, incremental))
+            note(cp_seq, incremental, blob)
+
+        monkeypatch.setattr(engine.auditor, "note_checkpoint", noting)
+        checks = engine.auditor.checks
+        dep.run(until=ms(150))
+        assert engine.auditor.checks - checks == len(shipped) == 10
+        incremental = [at for at, inc in shipped if inc]
+        assert len(incremental) >= 8
+        for at in incremental:
+            taken = sorted((name, inc) for when, name, inc in calls
+                           if when == at and name in engine.runtimes)
+            assert taken == [(name, True) for name in sorted(engine.runtimes)]
+
+    def test_shipped_blob_equals_a_fresh_snapshot(self, monkeypatch):
+        # Covers clean ticks (the audit's deltas are shipped) and a
+        # healed tick (forced full, snapshotted after the restore).
+        dep = build(audit="heal")
+        dep.run(until=ms(50))
+        engine = dep.engine("E1")
+        fresh = {}
+        capture = engine.capture_checkpoint
+
+        def checked_capture(**kwargs):
+            expected = {
+                inc: cpser.dumps({"components": {
+                    name: rt.snapshot(inc)
+                    for name, rt in engine.runtimes.items()}})
+                for inc in (True, False)
+            }
+            cp_seq = capture(**kwargs)
+            fresh[cp_seq] = expected
+            return cp_seq
+
+        monkeypatch.setattr(engine, "capture_checkpoint", checked_capture)
+        shipped = []
+        note = engine.auditor.note_checkpoint
+
+        def noting(cp_seq, incremental, blob):
+            shipped.append((cp_seq, incremental, blob))
+            note(cp_seq, incremental, blob)
+
+        monkeypatch.setattr(engine.auditor, "note_checkpoint", noting)
+        dep.run(until=ms(95))
+        corrupt_component_state(engine, "enricher")
+        dep.run(until=ms(200))
+        assert engine.auditor.heals == 1
+        assert {inc for _, inc, _ in shipped} == {True, False}
+        for cp_seq, incremental, blob in shipped:
+            assert blob == fresh[cp_seq][incremental]
 
 
 class TestRaiseMode:
