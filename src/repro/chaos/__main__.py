@@ -23,58 +23,19 @@ from repro.chaos.schedule import (
     generate_schedule,
 )
 from repro.errors import UnrecoverableClusterError
-from repro.net.topology import ClusterSpec
+from repro.net.cluster import add_cluster_args, build_spec, finish, log
 
 
-def build_spec(args: argparse.Namespace) -> ClusterSpec:
-    """A chaos-tuned cluster spec: same workload and sharded layout as
-    the cluster CLI (one pipeline lane per engine when there are three
-    or more, placed by consistent hashing), compressed transport
-    timeouts so partitions and kills resolve in test-scale wall time."""
-    from repro.apps.pipeline import build_pipeline_app, lane_key, lane_suffix
-    from repro.net.topology import sharded_placement
-
-    engines = [f"e{i}" for i in range(args.engines)]
-    lanes = 1 if args.engines <= 2 else args.engines
-    app_args = {"window": args.window}
-    placement = {}
-    if lanes > 1:
-        app_args["lanes"] = lanes
-        app = build_pipeline_app(**app_args)
-        placement = sharded_placement(app.component_names(), engines,
-                                      group_key=lane_key)
-    workload = {}
-    per, rem = divmod(args.messages, lanes)
-    for lane in range(lanes):
-        n = per + (1 if lane < rem else 0)
-        if n:
-            workload[f"readings{lane_suffix(lane)}"] = {
-                "n_messages": n,
-                "mean_interarrival_ms": args.mean_ms,
-            }
-    return ClusterSpec(
-        app="pipeline",
-        app_args=app_args,
-        engines=engines,
-        placement=placement,
-        replicas=args.replicas,
-        followers_per_group=getattr(args, "followers", None),
-        master_seed=args.master_seed,
-        speed=args.speed,
-        checkpoint_interval_ms=args.checkpoint_ms,
-        heartbeat_interval_ms=args.heartbeat_ms,
-        heartbeat_miss_limit=args.heartbeat_miss,
-        workload=workload,
-        recovery_target_ms=args.recovery_target,
-        audit=args.audit,
-        audit_every=args.audit_every,
-        connect_timeout_s=0.5,
-        handshake_timeout_s=0.5,
-        backoff_min_s=0.02,
-        backoff_max_s=0.2,
-        fence_attempts=10,
-        fence_gap_s=0.1,
-    )
+#: Compressed transport timeouts, so partitions and kills resolve in
+#: test-scale wall time.
+TRANSPORT_TIMEOUTS = dict(
+    connect_timeout_s=0.5,
+    handshake_timeout_s=0.5,
+    backoff_min_s=0.02,
+    backoff_max_s=0.2,
+    fence_attempts=10,
+    fence_gap_s=0.1,
+)
 
 
 def main(argv: Optional[List[str]] = None) -> int:
@@ -84,7 +45,9 @@ def main(argv: Optional[List[str]] = None) -> int:
         description="Generate the seeded fault schedule for --seed, run "
                     "it against a live multi-process cluster behind a "
                     "TCP fault proxy, and verify the recovered output "
-                    "byte-identical to the simulated reference.",
+                    "byte-identical to the simulated reference.  "
+                    "Corrupt schedules force --audit heal, and invariant "
+                    "failures always record a reproducer bundle.",
     )
     parser.add_argument("--seed", type=int, default=0,
                         help="schedule seed; also picks the scenario "
@@ -101,47 +64,16 @@ def main(argv: Optional[List[str]] = None) -> int:
                         help="only run the in-simulator replay")
     parser.add_argument("--skip-sim", action="store_true",
                         help="skip the in-simulator replay")
-    parser.add_argument("--engines", type=int, default=2)
-    parser.add_argument("--replicas", type=int, default=1, choices=(0, 1))
-    parser.add_argument("--followers", type=int, default=None, metavar="K",
-                        help="followers per replication group (overrides "
-                             "--replicas)")
-    parser.add_argument("--messages", type=int, default=240)
-    parser.add_argument("--mean-ms", type=float, default=1.0)
-    parser.add_argument("--window", type=int, default=10)
     parser.add_argument("--master-seed", type=int, default=7,
                         help="workload/application seed (the chaos "
                              "--seed only drives the fault schedule)")
-    parser.add_argument("--speed", type=float, default=0.1)
-    parser.add_argument("--checkpoint-ms", type=float, default=25.0)
-    parser.add_argument("--heartbeat-ms", type=float, default=10.0)
-    parser.add_argument("--heartbeat-miss", type=int, default=3)
-    parser.add_argument("--recovery-target", type=float, default=None,
-                        metavar="MS",
-                        help="recovery-time objective in simulated ms; "
-                             "engines adapt their checkpoint cadence to "
-                             "keep worst-case replay under it")
-    parser.add_argument("--audit", nargs="?", const="heal", default="off",
-                        choices=("off", "raise", "heal"),
-                        help="divergence audit mode on every engine "
-                             "(bare --audit means heal); corrupt "
-                             "schedules force heal when left off")
-    parser.add_argument("--audit-every", type=int, default=1,
-                        help="audit once per N checkpoint captures")
-    parser.add_argument("--timeout", type=float, default=None,
-                        help="live-run wall-clock deadline in seconds")
-    parser.add_argument("--record", default=None, metavar="DIR",
-                        help="write a .replay flight-recorder bundle of "
-                             "the run (see docs/timetravel.md); invariant "
-                             "failures always record a reproducer bundle")
-    parser.add_argument("--metrics-out", default=None, metavar="PATH",
-                        help="write the full metrics registry as JSON "
-                             "at shutdown")
-    parser.add_argument("--json", action="store_true", dest="as_json",
-                        help="machine-readable report on stdout")
+    add_cluster_args(parser, workload=True)
     args = parser.parse_args(argv)
 
-    spec = build_spec(args)
+    # Same workload and layout as the cluster CLI (one pipeline lane per
+    # engine when there are three or more), with chaos-scale timeouts.
+    spec = build_spec(args, master_seed=args.master_seed,
+                      **TRANSPORT_TIMEOUTS)
     schedule = None
     if args.schedule:
         schedule = ChaosSchedule.from_json(Path(args.schedule).read_text())
@@ -162,7 +94,7 @@ def main(argv: Optional[List[str]] = None) -> int:
             record_dir=args.record,
         )
     except UnrecoverableClusterError as exc:
-        print(f"chaos: {exc}", file=sys.stderr, flush=True)
+        log(f"chaos: {exc}")
         if args.as_json:
             print(json.dumps({
                 "ok": False,
@@ -174,22 +106,14 @@ def main(argv: Optional[List[str]] = None) -> int:
             }, indent=2, sort_keys=True))
         return 2
 
-    if args.metrics_out is not None:
-        Path(args.metrics_out).write_text(
-            json.dumps(report.get("metrics"), indent=2, sort_keys=True)
-            + "\n")
-        print(f"chaos: wrote metrics to {args.metrics_out}",
-              file=sys.stderr, flush=True)
-    report.pop("metrics", None)  # bulky; lives in --metrics-out / bundles
-    if args.as_json:
-        print(json.dumps(report, indent=2, sort_keys=True))
     verdict = report.get("verdict", {})
     for violation in verdict.get("violations", []):
-        print(f"chaos: violation: {violation}", file=sys.stderr, flush=True)
-    status = "OK" if report["ok"] else "FAIL"
-    print(f"chaos: seed {args.seed} ({report['scenario']}): {status}",
-          file=sys.stderr, flush=True)
-    return 0 if report["ok"] else 1
+        log(f"chaos: violation: {violation}")
+    # The metrics are bulky: they go to --metrics-out, not the report.
+    metrics = report.pop("metrics", None)
+    return finish(args, "chaos", report, metrics, report["ok"],
+                  f"seed {args.seed} ({report['scenario']}): "
+                  f"{'OK' if report['ok'] else 'FAIL'}")
 
 
 if __name__ == "__main__":

@@ -390,7 +390,7 @@ def _gen_double_fault(rng, spec):
     bystander = rng.choice(others)
     events = [ChaosEvent("kill", rng.uniform(0.30, 0.50) * span,
                          target=f"engine-{victim}")]
-    if spec.replicas >= 1 and bystander != victim:
+    if spec.followers() >= 1 and bystander != victim:
         # A *different* engine's replica dies too: still survivable.
         events.append(ChaosEvent(
             "kill", rng.uniform(0.20, 0.60) * span,

@@ -7,9 +7,10 @@ fundamental way: external submissions arrive at *wall-clock* times over
 real sockets, so no seeded simulation can predict the ingress log up
 front.  The determinism oracle therefore runs **after** the live run:
 
-1. spawn the usual engine/replica processes, host the ingresses and
-   consumers on the coordinator, and put a :class:`~repro.gateway
-   .server.GatewayServer` in front of the ingresses;
+1. run the shared coordinator lifecycle
+   (:class:`~repro.net.cluster.ClusterRun`) with a :class:`~repro.gateway
+   .server.GatewayServer` in front of the coordinator's ingresses
+   (:class:`GatewayRun`);
 2. drive it with a fleet of open-loop TCP clients (:mod:`repro.gateway
    .client`), optionally SIGKILLing the active engine mid-stream or
    resetting client connections through the chaos proxy;
@@ -39,20 +40,22 @@ from __future__ import annotations
 
 import argparse
 import asyncio
-import json
+import functools
 import sys
-import tempfile
 import time
 from pathlib import Path
 from typing import Any, Dict, List, Optional, Tuple
 
-from repro.net import codec
 from repro.net.cluster import (
-    GO_LEAD_S,
-    READY_TIMEOUT_S,
+    ClusterRun,
     CoordinatorHost,
+    add_cluster_args,
+    add_trial_args,
     free_port,
-    spawn_children,
+    kill_target,
+    log,
+    plan_trials,
+    run_trials,
     with_addresses,
 )
 from repro.net.server import ProcessRuntime
@@ -126,199 +129,103 @@ def replay_reference(spec: ClusterSpec,
             for sink, consumer in dep.consumers.items()}
 
 
-async def run_gateway_cluster(
-    spec: ClusterSpec,
-    plan: ClientPlan,
-    kill_engine: Optional[str] = None,
-    kill_fraction: float = 0.4,
-    deadline_s: float = 120.0,
-    chaos=None,
-    payload_factory=None,
-) -> Dict:
-    """One live gateway run; returns streams, reference, and diagnostics.
+class GatewayRun(ClusterRun):
+    """The cluster lifecycle with the gateway and a client fleet in front.
 
-    ``spec`` must carry addresses and a gateway config (see
-    :func:`~repro.net.cluster.with_addresses`).  With ``kill_engine``
-    set, that engine's process is SIGKILLed once ``kill_fraction`` of
-    the planned submissions have been admitted.  ``chaos`` is an
-    optional :class:`~repro.chaos.runner.ChaosDriver` whose proxy has
-    been planned to front the gateway (see :func:`gateway_front`).
+    The kill trigger counts admissions instead of outputs, and the
+    reference counts come from replaying the shadow log once the fleet
+    is done.  ``chaos`` is an optional
+    :class:`~repro.chaos.runner.ChaosDriver` whose proxy has been planned
+    to front the gateway (see :func:`gateway_front`).
     """
-    started = time.monotonic()
-    runtime = ProcessRuntime("coordinator", spec)
-    listen_host, listen_port = spec.listen_addr("coordinator")
-    server = await asyncio.start_server(
-        runtime._handle_conn, listen_host, listen_port
-    )
-    if chaos is not None:
-        await chaos.start()
-    host = CoordinatorHost(spec, runtime)
-    for consumer in host.consumers.values():
-        consumer.birth_of = _birth_of
-    gateway = GatewayServer(
-        "gateway",
-        ingresses=dict(host.deployment.ingresses),
-        inject=runtime.rtk.inject,
-        metrics=host.deployment.metrics,
-        config=GatewayConfig.from_spec(spec),
-        congested=runtime.transport.congested,
-    )
-    await gateway.start()
 
-    spec_file = tempfile.NamedTemporaryFile(
-        "w", suffix=".json", prefix="gateway-spec-", delete=False
-    )
-    spec_path = Path(spec_file.name)
-    with spec_file:
-        spec_file.write(spec.to_json())
+    kill_key = "at_accepted"
 
-    children = spawn_children(spec, spec_path)
-    if chaos is not None:
-        chaos.attach(children)
-    result: Dict = {"killed": None, "complete": False, "error": None}
-    loop = asyncio.get_running_loop()
-    pump: Optional[asyncio.Task] = None
-    client_stats: List = []
-    reference: Dict[str, List[Tuple]] = {}
-    shadow: Dict[str, List[Tuple]] = {}
-    try:
-        for child in children.values():
-            ok = await loop.run_in_executor(
-                None, child.ready.wait, READY_TIMEOUT_S
-            )
-            if not ok:
-                raise RuntimeError(
-                    f"child {child.name} not READY within "
-                    f"{READY_TIMEOUT_S}s (rc={child.proc.poll()})"
-                )
+    def __init__(self, spec: ClusterSpec, plan: ClientPlan, **kwargs):
+        super().__init__(spec, {}, **kwargs)
+        self.plan = plan
+        self.client_stats: List = []
+        self.shadow: Dict[str, List[Tuple]] = {}
+        self.reference: Dict[str, List[Tuple]] = {}
 
-        t0 = time.time() + GO_LEAD_S
-        for name in children:
-            runtime.transport.channel_to(f"proc:{name}").enqueue(
-                runtime.peer_id, codec.GoSignal(t0=t0, speed=spec.speed)
-            )
-        runtime.clock.set_epoch(t0)
-        if chaos is not None:
-            chaos.on_go(t0)
-        host.start()
-        pump = loop.create_task(runtime.rtk.run(), name="pump:coordinator")
+    def make_host(self, runtime: ProcessRuntime) -> CoordinatorHost:
+        # The module attribute, looked up now, so a patched class applies.
+        host = CoordinatorHost(self.spec, runtime)
+        for consumer in host.consumers.values():
+            consumer.birth_of = _birth_of
+        return host
 
-        factory = payload_factory or gateway_payload_factory()
-        clients = build_clients(plan, spec.gateway_addr(), factory)
-        client_t0 = time.monotonic() + (t0 - time.time()) + CLIENT_LEAD_S
-        client_tasks = [
+    async def open_front(self) -> None:
+        # Built after the host, so it captures the host's ``inject``.
+        self.gateway = GatewayServer(
+            "gateway",
+            ingresses=dict(self.host.deployment.ingresses),
+            inject=self.runtime.rtk.inject,
+            metrics=self.host.deployment.metrics,
+            config=GatewayConfig.from_spec(self.spec),
+            congested=self.runtime.transport.congested,
+        )
+        await self.gateway.start()
+
+    async def close_front(self) -> None:
+        await self.gateway.close()
+
+    def kill_progress(self) -> Tuple[int, int]:
+        return self.gateway.accepted(), self.plan.total_messages
+
+    async def drive(self) -> None:
+        """Run the fleet, replay what it got admitted, await the output."""
+        loop = asyncio.get_running_loop()
+        clients = build_clients(self.plan, self.spec.gateway_addr(),
+                                gateway_payload_factory())
+        client_t0 = time.monotonic() + (self.t0 - time.time()) + CLIENT_LEAD_S
+        fleet = asyncio.gather(*(
             loop.create_task(c.run(client_t0), name=f"client:{c.client_id}")
             for c in clients
-        ]
-        fleet = asyncio.gather(*client_tasks, return_exceptions=True)
-
-        kill_at = max(1, int(plan.total_messages * kill_fraction))
-        deadline = time.monotonic() + deadline_s
-        while not fleet.done():
-            if pump.done():
-                pump.result()  # surfaces TransportError etc.
-                raise RuntimeError("coordinator pump exited early")
-            if (kill_engine is not None and result["killed"] is None
-                    and gateway.accepted() >= kill_at):
-                children[f"engine-{kill_engine}"].kill()
-                result["killed"] = {
-                    "engine": kill_engine,
-                    "at_accepted": gateway.accepted(),
-                    "at_s": round(time.monotonic() - started, 3),
-                }
-            if time.monotonic() >= deadline:
-                fleet.cancel()
-                raise RuntimeError(
-                    f"clients still running at the {deadline_s}s deadline"
-                )
-            await asyncio.sleep(0.05)
+        ), return_exceptions=True)
+        if not await self.watch(fleet.done):
+            fleet.cancel()
+            raise RuntimeError(
+                f"clients still running at the {self.deadline_s}s deadline"
+            )
         for outcome in fleet.result():
             if isinstance(outcome, BaseException):
                 raise outcome
-            client_stats.append(outcome)
+            self.client_stats.append(outcome)
 
         # Freeze the admitted-work record and replay it (CPU-bound, in
         # a worker thread) while the live consumers finish draining.
-        shadow = {input_id: list(entries)
-                  for input_id, entries in gateway.shadow.items()}
-        reference = await loop.run_in_executor(
-            None, replay_reference, spec, shadow
+        self.shadow = {input_id: list(entries)
+                       for input_id, entries in self.gateway.shadow.items()}
+        self.reference = await loop.run_in_executor(
+            None, replay_reference, self.spec, self.shadow
         )
-        ref_counts = {sink: len(s) for sink, s in reference.items()}
-        while time.monotonic() < deadline:
-            if pump.done():
-                pump.result()
-                raise RuntimeError("coordinator pump exited early")
-            if host.counts() == ref_counts:
-                result["complete"] = True
-                break
-            await asyncio.sleep(0.05)
-        else:
+        self.ref_counts = {sink: len(s) for sink, s in self.reference.items()}
+        await super().drive()
+        if not self.result["complete"]:
             raise RuntimeError(
-                f"consumers at {host.counts()} of {ref_counts} at the "
-                f"{deadline_s}s deadline"
+                f"consumers at {self.host.counts()} of {self.ref_counts} "
+                f"at the {self.deadline_s}s deadline"
             )
-    except Exception as exc:  # noqa: BLE001 - reported in the result
-        result["error"] = f"{type(exc).__name__}: {exc}"
-    finally:
-        for name, child in children.items():
-            if child.proc.poll() is None:
-                try:
-                    runtime.transport.channel_to(f"proc:{name}").enqueue(
-                        runtime.peer_id, codec.Shutdown("run complete")
-                    )
-                except Exception:  # noqa: BLE001 - best-effort shutdown
-                    pass
-        await asyncio.sleep(0.3)
-        if pump is not None:
-            runtime.rtk.stop()
-            try:
-                await pump
-            except Exception as exc:  # noqa: BLE001
-                if result["error"] is None:
-                    result["error"] = f"{type(exc).__name__}: {exc}"
-        epoch_resets = sum(
-            ch.epoch_resets for ch in runtime.transport._channels.values()
-        )
-        await gateway.close()
-        if chaos is not None:
-            await chaos.close()
-        await runtime.transport.close()
-        server.close()
-        await server.wait_closed()
-        exit_codes = {name: child.reap() for name, child in children.items()}
-        try:
-            spec_path.unlink()
-        except OSError:
-            pass
 
-    metrics = host.deployment.metrics
-    samples = metrics.latency_count()
-    result.update(
-        counts=host.counts(),
-        streams=host.streams(),
-        reference=reference,
-        stutter=host.stutter(),
-        elapsed_s=round(time.monotonic() - started, 3),
-        child_exit_codes=exit_codes,
-        epoch_resets=epoch_resets,
-        gateway=gateway.report(),
-        clients=fleet_summary(client_stats),
-        exactly_once_violations=exactly_once_violations(
-            client_stats, gateway.shadow
-        ),
-        latency={
-            "samples": samples,
-            "p50_us": _pct(metrics, 50.0, samples),
-            "p99_us": _pct(metrics, 99.0, samples),
-            "p999_us": _pct(metrics, 99.9, samples),
-        },
-        shadow=shadow,
-        metrics=metrics.dump_json(),
-    )
-    if chaos is not None:
-        result["chaos"] = chaos.report()
-    return result
+    def report(self) -> Dict:
+        metrics = self.host.deployment.metrics
+        samples = metrics.latency_count()
+        return dict(
+            reference=self.reference,
+            gateway=self.gateway.report(),
+            clients=fleet_summary(self.client_stats),
+            exactly_once_violations=exactly_once_violations(
+                self.client_stats, self.gateway.shadow
+            ),
+            latency={
+                "samples": samples,
+                "p50_us": _pct(metrics, 50.0, samples),
+                "p99_us": _pct(metrics, 99.0, samples),
+                "p999_us": _pct(metrics, 99.9, samples),
+            },
+            shadow=self.shadow,
+        )
 
 
 def _birth_of(payload: Any) -> Optional[int]:
@@ -393,30 +300,20 @@ def run_trial(label: str, spec: ClusterSpec, plan: ClientPlan,
               chaos_seed: Optional[int] = None,
               record_dir: Optional[str] = None) -> Dict:
     """One addressed live run + verification; returns the trial report."""
+    run_spec, chaos = with_addresses(spec), None
+    if chaos_seed is not None:
+        from repro.chaos.runner import ChaosDriver
+        from repro.chaos.schedule import generate_schedule
 
-    async def _run() -> Dict:
-        run_spec = with_addresses(spec)
-        chaos = None
-        if chaos_seed is not None:
-            from repro.chaos.runner import ChaosDriver
-            from repro.chaos.schedule import generate_schedule
-
-            run_spec2, proxy = gateway_front(run_spec)
-            schedule = generate_schedule(
-                chaos_seed, run_spec2, scenario="gateway_client_reset"
-            )
-            chaos = ChaosDriver(schedule, proxy, run_spec2)
-            return await run_gateway_cluster(
-                run_spec2, plan, kill_engine=kill_engine,
-                kill_fraction=kill_fraction, deadline_s=deadline_s,
-                chaos=chaos,
-            )
-        return await run_gateway_cluster(
-            run_spec, plan, kill_engine=kill_engine,
-            kill_fraction=kill_fraction, deadline_s=deadline_s,
+        run_spec, proxy = gateway_front(run_spec)
+        schedule = generate_schedule(
+            chaos_seed, run_spec, scenario="gateway_client_reset"
         )
-
-    result = asyncio.run(_run())
+        chaos = ChaosDriver(schedule, proxy, run_spec)
+    result = asyncio.run(GatewayRun(
+        run_spec, plan, kill_engine=kill_engine, kill_fraction=kill_fraction,
+        deadline_s=deadline_s, chaos=chaos,
+    ).run())
     shadow = result.pop("shadow", {})
     if record_dir is not None and shadow:
         # Gateway bundles replay the admission shadow log (the spec has
@@ -428,8 +325,7 @@ def run_trial(label: str, spec: ClusterSpec, plan: ClientPlan,
             seed=spec.master_seed, source="gateway",
         )
         result["bundle"] = str(bundle)
-        print(f"{label}: wrote replay bundle {bundle}",
-              file=sys.stderr, flush=True)
+        log(f"{label}: wrote replay bundle {bundle}")
     verdict = verify_trace_equivalence(
         result.pop("reference"), result.pop("streams"), trial=label,
         require_complete=True,
@@ -451,6 +347,36 @@ def run_trial(label: str, spec: ClusterSpec, plan: ClientPlan,
     return result
 
 
+def report_trial(label: str, kill_engine: Optional[str],
+                 chaos_seed: Optional[int] = None, *,
+                 spec: ClusterSpec, plan: ClientPlan,
+                 args: argparse.Namespace, deadline_s: float) -> Dict:
+    """:func:`run_trial` with the CLI's progress and status lines."""
+    log(f"{label}: launching {len(plan_cluster_nodes(spec)) - 1} child "
+        f"process(es), {plan.n_clients} client(s), {plan.total_messages} "
+        f"submission(s) ...")
+    result = run_trial(label, spec, plan, kill_engine, args.kill_fraction,
+                       deadline_s, chaos_seed=chaos_seed,
+                       record_dir=args.record)
+    lat = result["latency"]
+    gw = result["gateway"]
+    log(f"{label}: {'OK' if result['ok'] else 'FAIL'} — "
+        f"{sum(result['counts'].values())} "
+        f"outputs in {result['elapsed_s']}s; accepted="
+        f"{gw['accepted']} shed={gw['shed']} rate_limited="
+        f"{gw['rate_limited']} dup={gw['duplicates']}; "
+        f"p50={lat['p50_us']}us p99={lat['p99_us']}us "
+        f"p999={lat['p999_us']}us; stutter={result['stutter']}, "
+        f"reconnects={result['clients']['reconnects']}, "
+        f"violations={result['exactly_once_violations']}"
+        + (f"; killed {result['killed']['engine']} after "
+           f"{result['killed']['at_accepted']} admissions"
+           if result["killed"] else ""))
+    if "divergence" in result:
+        log(result["divergence"])
+    return result
+
+
 def main(argv: Optional[List[str]] = None) -> int:
     parser = argparse.ArgumentParser(
         prog="python -m repro.gateway.cluster",
@@ -459,28 +385,13 @@ def main(argv: Optional[List[str]] = None) -> int:
                     "output against a pure-sim replay of the gateway's "
                     "admission log.",
     )
-    parser.add_argument("--engines", type=int, default=2)
-    parser.add_argument("--replicas", type=int, default=1, choices=(0, 1))
-    parser.add_argument("--followers", type=int, default=None, metavar="K",
-                        help="followers per replication group (overrides "
-                             "--replicas)")
-    parser.add_argument("--messages", type=int, default=240,
-                        help="total submissions across all clients")
-    parser.add_argument("--clients", type=int, default=16)
+    add_cluster_args(parser, workload=False)
+    add_trial_args(parser)
+    parser.add_argument("--clients", type=int, default=16,
+                        help="number of concurrent external clients")
     parser.add_argument("--rate", type=float, default=400.0,
                         help="aggregate open-loop offered rate in "
                              "msgs/sec (<= 0: synchronized burst)")
-    parser.add_argument("--window", type=int, default=10)
-    parser.add_argument("--seed", type=int, default=7)
-    parser.add_argument("--checkpoint-ms", type=float, default=25.0)
-    parser.add_argument("--heartbeat-ms", type=float, default=10.0)
-    parser.add_argument("--heartbeat-miss", type=int, default=3)
-    parser.add_argument("--kill-active", action="store_true",
-                        help="SIGKILL an engine mid-stream; clients "
-                             "must not notice (zero reconnects) and the "
-                             "output must stay byte-identical")
-    parser.add_argument("--kill-engine", default=None)
-    parser.add_argument("--kill-fraction", type=float, default=0.4)
     parser.add_argument("--client-reset", type=int, default=None,
                         metavar="SEED",
                         help="run the seeded gateway_client_reset chaos "
@@ -494,30 +405,7 @@ def main(argv: Optional[List[str]] = None) -> int:
                         help="per-client token bucket refill (msgs/sec)")
     parser.add_argument("--client-burst", type=float, default=200.0)
     parser.add_argument("--retry-ms", type=float, default=50.0)
-    parser.add_argument("--skip-clean", action="store_true")
-    parser.add_argument("--record", default=None, metavar="DIR",
-                        help="write a .replay flight-recorder bundle per "
-                             "trial under DIR (see docs/timetravel.md)")
-    parser.add_argument("--metrics-out", default=None, metavar="PATH",
-                        help="write the full metrics registry as JSON "
-                             "at shutdown")
-    parser.add_argument("--timeout", type=float, default=None,
-                        help="per-trial wall-clock deadline in seconds")
-    parser.add_argument("--json", action="store_true", dest="as_json")
     args = parser.parse_args(argv)
-
-    if args.followers is not None and args.followers < 0:
-        parser.error("--followers must be >= 0")
-    effective_followers = (args.followers if args.followers is not None
-                           else args.replicas)
-    if args.kill_active and effective_followers < 1:
-        parser.error("--kill-active requires at least one follower "
-                     "(--followers >= 1 or --replicas 1)")
-    kill_engine = None
-    if args.kill_active:
-        kill_engine = args.kill_engine or "e0"
-        if kill_engine not in [f"e{i}" for i in range(args.engines)]:
-            parser.error(f"unknown --kill-engine {kill_engine!r}")
 
     plan = ClientPlan(
         n_clients=args.clients,
@@ -526,69 +414,22 @@ def main(argv: Optional[List[str]] = None) -> int:
         seed=args.seed,
     )
     spec = build_gateway_spec(args, plan)
+    kill_engine = kill_target(parser, args, spec)
     deadline_s = args.timeout or max(60.0, 6.0 * plan.duration_s() + 30.0)
-
-    trials: List[Tuple[str, Optional[str], Optional[int]]] = []
-    if not args.skip_clean:
-        trials.append(("gateway-clean", None, None))
-    if kill_engine is not None:
-        trials.append((f"gateway-kill-{kill_engine}", kill_engine, None))
-    if args.client_reset is not None:
-        trials.append((f"gateway-reset-{args.client_reset}", None,
-                       args.client_reset))
-    if not trials:
-        trials.append(("gateway-clean", None, None))
-
-    report: Dict = {"plan": {
-        "clients": plan.n_clients,
-        "messages": plan.total_messages,
-        "rate_msgs_per_s": plan.rate_msgs_per_s,
-    }, "trials": {}}
-    metrics_docs: Dict[str, Dict] = {}
-    failed = False
-    for label, victim, chaos_seed in trials:
-        print(f"{label}: launching "
-              f"{len(plan_cluster_nodes(spec)) - 1} child process(es), "
-              f"{plan.n_clients} client(s), {plan.total_messages} "
-              f"submission(s) ...", file=sys.stderr, flush=True)
-        result = run_trial(label, spec, plan, victim, args.kill_fraction,
-                           deadline_s, chaos_seed=chaos_seed,
-                           record_dir=args.record)
-        metrics_docs[label] = result.pop("metrics", None)
-        failed = failed or not result["ok"]
-        report["trials"][label] = result
-        status = "OK" if result["ok"] else "FAIL"
-        lat = result["latency"]
-        gw = result["gateway"]
-        print(f"{label}: {status} — {sum(result['counts'].values())} "
-              f"outputs in {result['elapsed_s']}s; accepted="
-              f"{gw['accepted']} shed={gw['shed']} rate_limited="
-              f"{gw['rate_limited']} dup={gw['duplicates']}; "
-              f"p50={lat['p50_us']}us p99={lat['p99_us']}us "
-              f"p999={lat['p999_us']}us; stutter={result['stutter']}, "
-              f"reconnects={result['clients']['reconnects']}, "
-              f"violations={result['exactly_once_violations']}"
-              + (f"; killed {result['killed']['engine']} after "
-                 f"{result['killed']['at_accepted']} admissions"
-                 if result["killed"] else ""),
-              file=sys.stderr, flush=True)
-        if result["error"]:
-            print(f"{label}: error: {result['error']}",
-                  file=sys.stderr, flush=True)
-        if "divergence" in result:
-            print(result["divergence"], file=sys.stderr, flush=True)
-
-    if args.metrics_out is not None:
-        Path(args.metrics_out).write_text(
-            json.dumps(metrics_docs, indent=2, sort_keys=True) + "\n")
-        print(f"gateway: wrote metrics to {args.metrics_out}",
-              file=sys.stderr, flush=True)
-    if args.as_json:
-        print(json.dumps(report, indent=2, sort_keys=True))
-    print("gateway: " + ("all trials byte-identical to the replayed "
-                         "reference" if not failed else "FAILED"),
-          file=sys.stderr, flush=True)
-    return 1 if failed else 0
+    resets = [] if args.client_reset is None else [(
+        f"gateway-reset-{args.client_reset}",
+        {"kill_engine": None, "chaos_seed": args.client_reset},
+    )]
+    return run_trials(
+        args, "gateway", plan_trials("gateway", args, kill_engine, resets),
+        functools.partial(report_trial, spec=spec, plan=plan, args=args,
+                          deadline_s=deadline_s),
+        {"plan": {"clients": plan.n_clients,
+                  "messages": plan.total_messages,
+                  "rate_msgs_per_s": plan.rate_msgs_per_s},
+         "trials": {}},
+        "all trials byte-identical to the replayed reference",
+    )
 
 
 if __name__ == "__main__":

@@ -24,12 +24,21 @@ its own simulator, which hosts the Poisson producers — workload arrivals
 happen at exact simulated ticks drawn from the deployment's seeded RNG
 streams, so ingress timestamps match the pure-sim reference byte for
 byte.
+
+:class:`ClusterRun` is the one coordinator lifecycle of every live
+harness: producer-driven runs here, gateway-fronted runs
+(:mod:`repro.gateway.cluster` subclasses it) and chaos runs (a
+:class:`~repro.chaos.runner.ChaosDriver` plugs into its hooks).  The CLI
+plumbing the three harnesses share lives here too; ``--gateway`` and
+``--chaos`` hand the command line to those harnesses' own parsers.
 """
 
 from __future__ import annotations
 
 import argparse
 import asyncio
+import dataclasses
+import functools
 import json
 import os
 import socket
@@ -39,7 +48,7 @@ import tempfile
 import threading
 import time
 from pathlib import Path
-from typing import Dict, List, Optional, Tuple
+from typing import Callable, Dict, List, Optional, Sequence, Tuple
 
 import repro
 from repro.apps.pipeline import build_pipeline_app, lane_key, lane_suffix
@@ -58,7 +67,6 @@ from repro.net.topology import (
     sink_upstream_engines,
     stream_of,
 )
-from repro.sim.kernel import ms
 from repro.tools.verify_determinism import verify_trace_equivalence
 
 #: Seconds each child gets to bind its socket and print READY.
@@ -209,19 +217,23 @@ def spawn_children(spec: ClusterSpec, spec_path: Path
     return children
 
 
-async def run_networked(
-    spec: ClusterSpec,
-    ref_counts: Dict[str, int],
-    kill_engine: Optional[str] = None,
-    kill_fraction: float = 0.4,
-    deadline_s: float = 60.0,
-    chaos=None,
-) -> Dict:
-    """One multi-process run; returns streams and diagnostics.
+class ClusterRun:
+    """One multi-process run: the coordinator lifecycle of every harness.
 
-    ``spec`` must already carry addresses (see :func:`with_addresses`).
-    With ``kill_engine`` set, that engine's process is SIGKILLed once
-    ``kill_fraction`` of the expected outputs have been delivered.
+    :meth:`run` binds the coordinator's server, builds the
+    :class:`CoordinatorHost`, spawns the children, releases them through
+    the GO barrier, runs :meth:`drive` and tears everything down again:
+    Shutdown broadcast, pump stop, front, chaos, transport and server
+    close, child reaping and spec-file removal.  While it drives,
+    :meth:`watch` checks pump health and the deadline and fires the kill
+    trigger: with ``kill_engine`` set, that engine's process is
+    SIGKILLed once ``kill_fraction`` of the planned work is done.
+
+    The base class drives the seeded in-process producers until the
+    consumers reach ``ref_counts``.  A front such as the public gateway
+    (:class:`repro.gateway.cluster.GatewayRun`) overrides the hooks
+    :meth:`make_host`, :meth:`open_front`, :meth:`drive`,
+    :meth:`kill_progress`, :meth:`close_front` and :meth:`report`.
 
     ``chaos`` is an optional driver (``repro.chaos.runner.ChaosDriver``)
     hooked into the lifecycle: ``await chaos.start()`` once the
@@ -230,35 +242,132 @@ async def run_networked(
     spawning, ``chaos.on_go(t0)`` when the shared epoch is set, and
     ``await chaos.close()`` on the way out.
     """
-    started = time.monotonic()
-    runtime = ProcessRuntime("coordinator", spec)
-    listen_host, listen_port = spec.listen_addr("coordinator")
-    server = await asyncio.start_server(
-        runtime._handle_conn, listen_host, listen_port
-    )
-    if chaos is not None:
-        await chaos.start()
-    host = CoordinatorHost(spec, runtime)
 
-    spec_file = tempfile.NamedTemporaryFile(
-        "w", suffix=".json", prefix="cluster-spec-", delete=False
-    )
-    spec_path = Path(spec_file.name)
-    with spec_file:
-        spec_file.write(spec.to_json())
+    #: Name of the kill trigger's progress count in ``result["killed"]``.
+    kill_key = "at_outputs"
 
-    children = spawn_children(spec, spec_path)
-    if chaos is not None:
-        chaos.attach(children)
-    result: Dict = {
-        "killed": None,
-        "complete": False,
-        "error": None,
-    }
-    loop = asyncio.get_running_loop()
-    pump: Optional[asyncio.Task] = None
-    try:
-        for child in children.values():
+    def __init__(self, spec: ClusterSpec, ref_counts: Dict[str, int],
+                 kill_engine: Optional[str] = None,
+                 kill_fraction: float = 0.4, deadline_s: float = 60.0,
+                 chaos=None):
+        self.spec = spec
+        self.ref_counts = ref_counts
+        self.kill_engine = kill_engine
+        self.kill_fraction = kill_fraction
+        self.deadline_s = deadline_s
+        self.chaos = chaos
+        self.result: Dict = {"killed": None, "complete": False,
+                             "error": None}
+        self.pump: Optional[asyncio.Task] = None
+
+    # -- hooks -----------------------------------------------------------
+    def make_host(self, runtime: ProcessRuntime) -> CoordinatorHost:
+        return CoordinatorHost(self.spec, runtime)
+
+    async def open_front(self) -> None:
+        """Start what fronts the ingresses (the host is built by now)."""
+
+    async def close_front(self) -> None:
+        """Stop the front (the pump has stopped by now)."""
+
+    def kill_progress(self) -> Tuple[int, int]:
+        """``(done, planned)`` units of work the kill trigger counts."""
+        return (sum(self.host.counts().values()),
+                sum(self.ref_counts.values()))
+
+    async def drive(self) -> None:
+        """Run the workload until the consumers reach ``ref_counts``."""
+        self.result["complete"] = await self.watch(
+            lambda: self.host.counts() == self.ref_counts)
+
+    def report(self) -> Dict:
+        """Front-specific result keys, taken after teardown."""
+        return {}
+
+    # -- lifecycle -------------------------------------------------------
+    async def watch(self, done: Callable[[], bool]) -> bool:
+        """Poll until ``done()``; False once the deadline passes."""
+        while True:
+            if self.pump.done():
+                self.pump.result()  # surfaces TransportError etc.
+                raise RuntimeError("coordinator pump exited early")
+            self._kill_trigger()
+            if done():
+                return True
+            if time.monotonic() >= self.deadline:
+                return False
+            await asyncio.sleep(0.05)
+
+    def _kill_trigger(self) -> None:
+        """SIGKILL ``kill_engine`` once enough of the planned work is done."""
+        if self.kill_engine is None or self.result["killed"] is not None:
+            return
+        done, planned = self.kill_progress()
+        if done >= max(1, int(planned * self.kill_fraction)):
+            self.children[f"engine-{self.kill_engine}"].kill()
+            self.result["killed"] = {
+                "engine": self.kill_engine,
+                self.kill_key: done,
+                "at_s": round(time.monotonic() - self.started, 3),
+                "at_ticks": self.runtime.clock.ticks(),
+            }
+
+    async def run(self) -> Dict:
+        """The whole lifecycle; returns the result block."""
+        self.started = time.monotonic()
+        server, spec_path = await self._launch()
+        try:
+            await self._go()
+            await self.drive()
+        except Exception as exc:  # noqa: BLE001 - reported in the result
+            self.result["error"] = f"{type(exc).__name__}: {exc}"
+        finally:
+            teardown = await self._teardown(server, spec_path)
+        host = self.host
+        self.result.update(
+            teardown,
+            counts=host.counts(),
+            streams=host.streams(),
+            arrival_ticks=host.arrival_ticks(),
+            stutter=host.stutter(),
+            elapsed_s=round(time.monotonic() - self.started, 3),
+            audit_reports={name: child.audit
+                           for name, child in self.children.items()
+                           if child.audit is not None},
+            metrics=host.deployment.metrics.dump_json(),
+            **self.report(),
+        )
+        if self.chaos is not None:
+            self.result["chaos"] = self.chaos.report()
+        return self.result
+
+    async def _launch(self) -> Tuple[asyncio.AbstractServer, Path]:
+        """Bind, start chaos, build host and front, spawn the children."""
+        spec, chaos = self.spec, self.chaos
+        self.runtime = ProcessRuntime("coordinator", spec)
+        server = await asyncio.start_server(
+            self.runtime._handle_conn, *spec.listen_addr("coordinator")
+        )
+        if chaos is not None:
+            await chaos.start()
+        self.host = self.make_host(self.runtime)
+        await self.open_front()
+        spec_file = tempfile.NamedTemporaryFile(
+            "w", suffix=".json", prefix="cluster-spec-", delete=False
+        )
+        with spec_file:
+            spec_file.write(spec.to_json())
+        spec_path = Path(spec_file.name)
+        self.children = spawn_children(spec, spec_path)
+        if chaos is not None:
+            chaos.attach(self.children)
+        return server, spec_path
+
+    async def _go(self) -> None:
+        """Wait for READY, broadcast GO at a shared epoch, start the pump."""
+        runtime = self.runtime
+        loop = asyncio.get_running_loop()
+        for child in self.children.values():
             ok = await loop.run_in_executor(
                 None, child.ready.wait, READY_TIMEOUT_S
             )
@@ -269,43 +378,25 @@ async def run_networked(
                 )
 
         # GO: one shared epoch for every tick clock in the cluster.
-        t0 = time.time() + GO_LEAD_S
-        for name in children:
+        self.t0 = time.time() + GO_LEAD_S
+        for name in self.children:
             runtime.transport.channel_to(f"proc:{name}").enqueue(
-                runtime.peer_id, codec.GoSignal(t0=t0, speed=spec.speed)
+                runtime.peer_id, codec.GoSignal(t0=self.t0,
+                                                speed=self.spec.speed)
             )
-        runtime.clock.set_epoch(t0)
-        if chaos is not None:
-            chaos.on_go(t0)
-        host.start()
-        pump = loop.create_task(runtime.rtk.run(), name="pump:coordinator")
+        runtime.clock.set_epoch(self.t0)
+        if self.chaos is not None:
+            self.chaos.on_go(self.t0)
+        self.host.start()
+        self.pump = loop.create_task(runtime.rtk.run(),
+                                     name="pump:coordinator")
+        self.deadline = time.monotonic() + self.deadline_s
 
-        total_expected = sum(ref_counts.values())
-        kill_at = max(1, int(total_expected * kill_fraction))
-        deadline = time.monotonic() + deadline_s
-        while time.monotonic() < deadline:
-            if pump.done():
-                pump.result()  # surfaces TransportError etc.
-                raise RuntimeError("coordinator pump exited early")
-            counts = host.counts()
-            if (kill_engine is not None and result["killed"] is None
-                    and sum(counts.values()) >= kill_at):
-                victim = children[f"engine-{kill_engine}"]
-                victim.kill()
-                result["killed"] = {
-                    "engine": kill_engine,
-                    "at_outputs": sum(counts.values()),
-                    "at_s": round(time.monotonic() - started, 3),
-                    "at_ticks": runtime.clock.ticks(),
-                }
-            if counts == ref_counts:
-                result["complete"] = True
-                break
-            await asyncio.sleep(0.05)
-    except Exception as exc:  # noqa: BLE001 - reported in the result
-        result["error"] = f"{type(exc).__name__}: {exc}"
-    finally:
-        for name, child in children.items():
+    async def _teardown(self, server: asyncio.AbstractServer,
+                        spec_path: Path) -> Dict:
+        """Stop and close everything; return counters and exit codes."""
+        runtime = self.runtime
+        for name, child in self.children.items():
             if child.proc.poll() is None:
                 try:
                     runtime.transport.channel_to(f"proc:{name}").enqueue(
@@ -314,54 +405,54 @@ async def run_networked(
                 except Exception:  # noqa: BLE001 - best-effort shutdown
                     pass
         await asyncio.sleep(0.3)
-        if pump is not None:
+        if self.pump is not None:
             runtime.rtk.stop()
             try:
-                await pump
+                await self.pump
             except Exception as exc:  # noqa: BLE001
-                if result["error"] is None:
-                    result["error"] = f"{type(exc).__name__}: {exc}"
-        epoch_resets = sum(
-            ch.epoch_resets for ch in runtime.transport._channels.values()
-        )
-        incarnations = {
-            dst: ch._known_incarnation
-            for dst, ch in runtime.transport._channels.items()
+                if self.result["error"] is None:
+                    self.result["error"] = f"{type(exc).__name__}: {exc}"
+        channels = runtime.transport._channels
+        counters = {
+            "epoch_resets": sum(ch.epoch_resets for ch in channels.values()),
+            "incarnations": {dst: ch._known_incarnation
+                             for dst, ch in channels.items()},
+            "channel_counters": runtime.transport.channel_counters(),
         }
-        channel_counters = runtime.transport.channel_counters()
-        if chaos is not None:
-            await chaos.close()
+        await self.close_front()
+        if self.chaos is not None:
+            await self.chaos.close()
         await runtime.transport.close()
         server.close()
         await server.wait_closed()
-        exit_codes = {name: child.reap() for name, child in children.items()}
+        counters["child_exit_codes"] = {
+            name: child.reap() for name, child in self.children.items()
+        }
         try:
             spec_path.unlink()
         except OSError:
             pass
-
-    result.update(
-        counts=host.counts(),
-        streams=host.streams(),
-        arrival_ticks=host.arrival_ticks(),
-        stutter=host.stutter(),
-        elapsed_s=round(time.monotonic() - started, 3),
-        child_exit_codes=exit_codes,
-        epoch_resets=epoch_resets,
-        incarnations=incarnations,
-        channel_counters=channel_counters,
-        audit_reports={name: child.audit
-                       for name, child in children.items()
-                       if child.audit is not None},
-        metrics=host.deployment.metrics.dump_json(),
-    )
-    if chaos is not None:
-        result["chaos"] = chaos.report()
-    return result
+        return counters
 
 
-def build_spec(args: argparse.Namespace) -> ClusterSpec:
-    """The cluster spec for the CLI knobs.
+async def run_networked(
+    spec: ClusterSpec,
+    ref_counts: Dict[str, int],
+    kill_engine: Optional[str] = None,
+    kill_fraction: float = 0.4,
+    deadline_s: float = 60.0,
+    chaos=None,
+) -> Dict:
+    """One producer-driven multi-process run (see :class:`ClusterRun`).
+
+    ``spec`` must already carry addresses (see :func:`with_addresses`).
+    """
+    return await ClusterRun(spec, ref_counts, kill_engine, kill_fraction,
+                            deadline_s, chaos).run()
+
+
+def build_spec(args: argparse.Namespace, **overrides) -> ClusterSpec:
+    """The cluster spec for the CLI knobs, with ``overrides`` applied.
 
     With three or more engines the pipeline is *sharded*: one lane per
     engine, lanes placed by consistent hashing (whole lanes travel
@@ -388,7 +479,7 @@ def build_spec(args: argparse.Namespace) -> ClusterSpec:
                 "n_messages": n,
                 "mean_interarrival_ms": args.mean_ms,
             }
-    return ClusterSpec(
+    spec = ClusterSpec(
         app="pipeline",
         app_args=app_args,
         engines=engines,
@@ -405,6 +496,7 @@ def build_spec(args: argparse.Namespace) -> ClusterSpec:
         audit=args.audit,
         audit_every=args.audit_every,
     )
+    return dataclasses.replace(spec, **overrides)
 
 
 def default_victim(spec: ClusterSpec) -> str:
@@ -461,87 +553,64 @@ def group_liveness(spec: ClusterSpec, result: Dict,
     }
 
 
-def _trial(label: str, spec: ClusterSpec, ref_counts: Dict[str, int],
-           kill_engine: Optional[str], kill_fraction: float,
-           deadline_s: float) -> Dict:
-    run_spec = with_addresses(spec)
-    return asyncio.run(run_networked(
-        run_spec, ref_counts, kill_engine=kill_engine,
-        kill_fraction=kill_fraction, deadline_s=deadline_s,
-    ))
+# ----------------------------------------------------------------------
+# CLI plumbing shared by the live harnesses (net, gateway and chaos)
+# ----------------------------------------------------------------------
 
 
-def main(argv: Optional[List[str]] = None) -> int:
-    parser = argparse.ArgumentParser(
-        prog="python -m repro.net.cluster",
-        description="Run a TART deployment as a real multi-process "
-                    "cluster and verify its output against the "
-                    "simulated reference (optionally killing the "
-                    "active engine mid-stream).",
-    )
+def log(line: str) -> None:
+    """One progress line on stderr (stdout carries ``--json``)."""
+    print(line, file=sys.stderr, flush=True)
+
+
+def _count(text: str) -> int:
+    """argparse type of a count: an integer >= 0."""
+    value = int(text)
+    if value < 0:
+        raise argparse.ArgumentTypeError(f"must be >= 0, not {value}")
+    return value
+
+
+def add_cluster_args(parser: argparse.ArgumentParser,
+                     workload: bool) -> None:
+    """Flags every live harness takes; ``workload`` adds the knobs of the
+    seeded in-process producers (the gateway's clients replace them)."""
     parser.add_argument("--engines", type=int, default=2)
     parser.add_argument("--replicas", type=int, default=1, choices=(0, 1),
                         help="passive replicas per engine (0 disables "
                              "checkpointing and failover)")
-    parser.add_argument("--followers", type=int, default=None, metavar="K",
+    parser.add_argument("--followers", type=_count, default=None,
+                        metavar="K",
                         help="followers per replication group (overrides "
                              "--replicas; K >= 2 gives each engine a "
                              "rank-ordered succession line)")
-    parser.add_argument("--kill-active", action="store_true",
-                        help="SIGKILL an engine process mid-stream and "
-                             "require byte-identical recovered output")
-    parser.add_argument("--kill-engine", default=None,
-                        help="which engine to kill (default: first)")
-    parser.add_argument("--kill-fraction", type=float, default=0.4,
-                        help="kill once this fraction of expected "
-                             "outputs arrived")
-    parser.add_argument("--messages", type=int, default=240)
-    parser.add_argument("--mean-ms", type=float, default=1.0,
-                        help="mean Poisson interarrival (simulated ms)")
+    parser.add_argument("--messages", type=int, default=240,
+                        help="messages in the workload")
     parser.add_argument("--window", type=int, default=10,
                         help="aggregator report window")
-    parser.add_argument("--seed", type=int, default=7)
-    parser.add_argument("--speed", type=float, default=0.1,
-                        help="simulated ticks per real nanosecond")
     parser.add_argument("--checkpoint-ms", type=float, default=25.0)
     parser.add_argument("--heartbeat-ms", type=float, default=10.0)
     parser.add_argument("--heartbeat-miss", type=int, default=3)
-    parser.add_argument("--recovery-target", type=float, default=None,
-                        metavar="MS",
-                        help="recovery-time objective in simulated ms; "
-                             "engines adapt checkpoint cadence so "
-                             "worst-case replay stays under it "
-                             "(--checkpoint-ms becomes the initial "
-                             "interval)")
-    parser.add_argument("--audit", nargs="?", const="heal", default="off",
-                        choices=("off", "raise", "heal"),
-                        help="run the continuous divergence audit on "
-                             "every engine (bare --audit means heal)")
-    parser.add_argument("--audit-every", type=int, default=1,
-                        help="audit once per N checkpoint captures")
+    if workload:
+        parser.add_argument("--mean-ms", type=float, default=1.0,
+                            help="mean Poisson interarrival (simulated ms)")
+        parser.add_argument("--speed", type=float, default=0.1,
+                            help="simulated ticks per real nanosecond")
+        parser.add_argument("--recovery-target", type=float, default=None,
+                            metavar="MS",
+                            help="recovery-time objective in simulated ms; "
+                                 "engines adapt checkpoint cadence so "
+                                 "worst-case replay stays under it "
+                                 "(--checkpoint-ms becomes the initial "
+                                 "interval)")
+        parser.add_argument("--audit", nargs="?", const="heal",
+                            default="off", choices=("off", "raise", "heal"),
+                            help="run the continuous divergence audit on "
+                                 "every engine (bare --audit means heal)")
+        parser.add_argument("--audit-every", type=int, default=1,
+                            help="audit once per N checkpoint captures")
     parser.add_argument("--timeout", type=float, default=None,
                         help="per-run wall-clock deadline in seconds")
-    parser.add_argument("--skip-clean", action="store_true",
-                        help="skip the no-failure networked run")
-    parser.add_argument("--chaos", type=int, default=None, metavar="SEED",
-                        help="instead of the clean/kill trials, run the "
-                             "seeded chaos schedule SEED against this "
-                             "cluster (python -m repro.chaos with the "
-                             "same workload knobs)")
-    parser.add_argument("--gateway", action="store_true",
-                        help="feed the cluster through the public TCP "
-                             "ingress gateway instead of in-process "
-                             "producers (python -m repro.gateway.cluster "
-                             "with the same knobs); external clients "
-                             "submit over the wire and the output is "
-                             "verified against a pure-sim replay of the "
-                             "gateway's admission log")
-    parser.add_argument("--clients", type=int, default=16,
-                        help="gateway mode: number of concurrent "
-                             "external clients")
-    parser.add_argument("--rate", type=float, default=400.0,
-                        help="gateway mode: aggregate open-loop offered "
-                             "rate in msgs/sec across all clients")
     parser.add_argument("--record", default=None, metavar="DIR",
                         help="write a .replay flight-recorder bundle of "
                              "the run (see docs/timetravel.md)")
@@ -550,97 +619,192 @@ def main(argv: Optional[List[str]] = None) -> int:
                              "at shutdown")
     parser.add_argument("--json", action="store_true", dest="as_json",
                         help="machine-readable report on stdout")
-    args = parser.parse_args(argv)
 
-    if args.gateway:
+
+def add_trial_args(parser: argparse.ArgumentParser) -> None:
+    """Flags of the harnesses that run clean and kill trials."""
+    parser.add_argument("--seed", type=int, default=7)
+    parser.add_argument("--kill-active", action="store_true",
+                        help="SIGKILL an engine process mid-stream and "
+                             "require byte-identical recovered output")
+    parser.add_argument("--kill-engine", default=None,
+                        help="which engine to kill (default: first)")
+    parser.add_argument("--kill-fraction", type=float, default=0.4,
+                        help="kill once this fraction of the planned "
+                             "work is done")
+    parser.add_argument("--skip-clean", action="store_true",
+                        help="skip the no-failure run")
+
+
+def kill_target(parser: argparse.ArgumentParser, args: argparse.Namespace,
+                spec: ClusterSpec) -> Optional[str]:
+    """The engine ``--kill-active`` kills (None without it)."""
+    if not args.kill_active:
+        return None
+    if spec.followers() < 1:
+        parser.error("--kill-active requires --replicas or --followers >= 1")
+    victim = args.kill_engine or default_victim(spec)
+    if victim not in spec.engines:
+        parser.error(f"unknown --kill-engine {victim!r}")
+    return victim
+
+
+def plan_trials(prefix: str, args: argparse.Namespace,
+                kill_engine: Optional[str],
+                extra: Sequence[Tuple[str, Dict]] = ()
+                ) -> List[Tuple[str, Dict]]:
+    """``(label, params)`` of the trials the flags ask for (clean if none)."""
+    clean = (f"{prefix}-clean", {"kill_engine": None})
+    trials = [] if args.skip_clean else [clean]
+    if kill_engine is not None:
+        trials.append((f"{prefix}-kill-{kill_engine}",
+                       {"kill_engine": kill_engine}))
+    trials.extend(extra)
+    return trials or [clean]
+
+
+def run_trials(args: argparse.Namespace, prog: str,
+               trials: List[Tuple[str, Dict]],
+               run_one: Callable[..., Dict], report: Dict,
+               verdict: str) -> int:
+    """Run each trial as ``run_one(label, **params)``, then :func:`finish`."""
+    metrics: Dict[str, Dict] = {}
+    for label, params in trials:
+        result = run_one(label, **params)
+        metrics[label] = result.pop("metrics", None)
+        report["trials"][label] = result
+        if result["error"]:
+            log(f"{label}: error: {result['error']}")
+    ok = all(result["ok"] for result in report["trials"].values())
+    return finish(args, prog, report, metrics, ok,
+                  verdict if ok else "FAILED")
+
+
+def finish(args: argparse.Namespace, prog: str, report: Dict, metrics,
+           ok: bool, verdict: str) -> int:
+    """The CLI tail: ``--metrics-out``, ``--json`` and the verdict line."""
+    if args.metrics_out is not None:
+        Path(args.metrics_out).write_text(
+            json.dumps(metrics, indent=2, sort_keys=True) + "\n")
+        log(f"{prog}: wrote metrics to {args.metrics_out}")
+    if args.as_json:
+        print(json.dumps(report, indent=2, sort_keys=True))
+    log(f"{prog}: {verdict}")
+    return 0 if ok else 1
+
+
+def delegate(argv: List[str]) -> Optional[int]:
+    """Hand a ``--gateway`` or ``--chaos`` run to that harness's CLI.
+
+    The user's flags are forwarded as given, so each one is either taken
+    by the delegated parser or refused by it.  For chaos, ``--chaos S``
+    becomes the schedule ``--seed S`` and ``--seed M`` the workload's
+    ``--master-seed M``.  Returns None for a producer-driven run.
+    """
+    router = argparse.ArgumentParser(prog="python -m repro.net.cluster",
+                                     add_help=False, allow_abbrev=False)
+    route = router.add_mutually_exclusive_group()
+    route.add_argument("--gateway", action="store_true")
+    route.add_argument("--chaos", type=int, default=None)
+    routed, rest = router.parse_known_args(argv)
+    if routed.gateway:
         from repro.gateway.cluster import main as gateway_main
 
-        gateway_argv = [
-            "--engines", str(args.engines),
-            "--replicas", str(args.replicas),
-            "--messages", str(args.messages),
-            "--clients", str(args.clients),
-            "--rate", str(args.rate),
-            "--window", str(args.window),
-            "--seed", str(args.seed),
-            "--checkpoint-ms", str(args.checkpoint_ms),
-            "--heartbeat-ms", str(args.heartbeat_ms),
-            "--heartbeat-miss", str(args.heartbeat_miss),
-        ]
-        if args.followers is not None:
-            gateway_argv += ["--followers", str(args.followers)]
-        if args.kill_active:
-            gateway_argv.append("--kill-active")
-            if args.kill_engine:
-                gateway_argv += ["--kill-engine", args.kill_engine]
-            gateway_argv += ["--kill-fraction", str(args.kill_fraction)]
-        if args.timeout is not None:
-            gateway_argv += ["--timeout", str(args.timeout)]
-        if args.record is not None:
-            gateway_argv += ["--record", args.record]
-        if args.metrics_out is not None:
-            gateway_argv += ["--metrics-out", args.metrics_out]
-        if args.as_json:
-            gateway_argv.append("--json")
-        return gateway_main(gateway_argv)
-
-    if args.chaos is not None:
+        return gateway_main(rest)
+    if routed.chaos is not None:
         from repro.chaos.__main__ import main as chaos_main
 
-        chaos_argv = [
-            "--seed", str(args.chaos),
-            "--engines", str(args.engines),
-            "--replicas", str(args.replicas),
-            "--messages", str(args.messages),
-            "--mean-ms", str(args.mean_ms),
-            "--window", str(args.window),
-            "--master-seed", str(args.seed),
-            "--speed", str(args.speed),
-            "--checkpoint-ms", str(args.checkpoint_ms),
-            "--heartbeat-ms", str(args.heartbeat_ms),
-            "--heartbeat-miss", str(args.heartbeat_miss),
-        ]
-        if args.followers is not None:
-            chaos_argv += ["--followers", str(args.followers)]
-        if args.recovery_target is not None:
-            chaos_argv += ["--recovery-target", str(args.recovery_target)]
-        if args.audit != "off":
-            chaos_argv += ["--audit", args.audit]
-        if args.audit_every != 1:
-            chaos_argv += ["--audit-every", str(args.audit_every)]
-        if args.timeout is not None:
-            chaos_argv += ["--timeout", str(args.timeout)]
-        if args.record is not None:
-            chaos_argv += ["--record", args.record]
-        if args.metrics_out is not None:
-            chaos_argv += ["--metrics-out", args.metrics_out]
-        if args.as_json:
-            chaos_argv.append("--json")
-        return chaos_main(chaos_argv)
+        renamed = [arg.replace("--seed", "--master-seed", 1)
+                   if arg.partition("=")[0] == "--seed" else arg
+                   for arg in rest]
+        return chaos_main(["--seed", str(routed.chaos)] + renamed)
+    return None
 
-    followers = (args.followers if args.followers is not None
-                 else args.replicas)
-    if args.kill_active and followers < 1:
-        parser.error("--kill-active requires --replicas or --followers >= 1")
-    if args.followers is not None and args.followers < 0:
-        parser.error("--followers must be >= 0")
+
+def run_trial(label: str, kill_engine: Optional[str], spec: ClusterSpec,
+              reference: Dict[str, List[Tuple]], kill_fraction: float,
+              deadline_s: float) -> Dict:
+    """One addressed producer-driven run, judged against ``reference``."""
+    log(f"{label}: launching "
+        f"{len(plan_cluster_nodes(spec)) - 1} child process(es) ...")
+    ref_counts = {sink: len(s) for sink, s in reference.items()}
+    result = asyncio.run(run_networked(
+        with_addresses(spec), ref_counts, kill_engine=kill_engine,
+        kill_fraction=kill_fraction, deadline_s=deadline_s,
+    ))
+    verdict = verify_trace_equivalence(
+        reference, result.pop("streams"), trial=label,
+        require_complete=True,
+    )
+    liveness = (group_liveness(spec, result, kill_engine, ref_counts)
+                if kill_engine is not None else None)
+    result.pop("arrival_ticks", None)  # bulky; judged above
+    result["liveness"] = liveness
+    result["deterministic"] = verdict.deterministic
+    result["ok"] = (verdict.deterministic and result["complete"]
+                    and not result["error"]
+                    and (liveness is None or liveness["ok"]))
+    log(f"{label}: {'OK' if result['ok'] else 'FAIL'} — "
+        f"{sum(result['counts'].values())}/{sum(ref_counts.values())} "
+        f"outputs in {result['elapsed_s']}s, stutter={result['stutter']}, "
+        f"epoch_resets={result['epoch_resets']}"
+        + (f", killed {result['killed']['engine']} after "
+           f"{result['killed']['at_outputs']} outputs"
+           if result["killed"] else ""))
+    if liveness is not None:
+        log(f"{label}: non-victim liveness "
+            f"{'OK' if liveness['ok'] else 'FAIL'} — "
+            f"{len(liveness['independent_sinks'])} independent "
+            f"sink(s), stalled={liveness['stalled_sinks']}")
+    for proc, audit in sorted(result.get("audit_reports", {}).items()):
+        log(f"{label}: audit[{proc}]: {json.dumps(audit, sort_keys=True)}")
+    if not verdict.deterministic:
+        log(verdict.summary())
+    return result
+
+
+def main(argv: Optional[List[str]] = None) -> int:
+    argv = sys.argv[1:] if argv is None else list(argv)
+    delegated = delegate(argv)
+    if delegated is not None:
+        return delegated
+    parser = argparse.ArgumentParser(
+        prog="python -m repro.net.cluster",
+        description="Run a TART deployment as a real multi-process "
+                    "cluster and verify its output against the "
+                    "simulated reference (optionally killing the "
+                    "active engine mid-stream).",
+    )
+    add_cluster_args(parser, workload=True)
+    add_trial_args(parser)
+    parser.add_argument("--chaos", type=int, default=None, metavar="SEED",
+                        help="instead of the clean/kill trials, run the "
+                             "seeded chaos schedule SEED against this "
+                             "cluster: the other flags go to python -m "
+                             "repro.chaos, with --seed as its "
+                             "--master-seed")
+    parser.add_argument("--gateway", action="store_true",
+                        help="feed the cluster through the public TCP "
+                             "ingress gateway instead of in-process "
+                             "producers: the other flags go to python -m "
+                             "repro.gateway.cluster; external clients "
+                             "submit over the wire and the output is "
+                             "verified against a pure-sim replay of the "
+                             "gateway's admission log")
+    args = parser.parse_args(argv)
+    if args.gateway or args.chaos is not None:
+        parser.error("spell out --gateway and --chaos in full")
 
     spec = build_spec(args)
-    kill_engine = None
-    if args.kill_active:
-        kill_engine = args.kill_engine or default_victim(spec)
-        if kill_engine not in spec.engines:
-            parser.error(f"unknown --kill-engine {kill_engine!r}")
+    kill_engine = kill_target(parser, args, spec)
     span_s = spec.workload_span_ticks() / (1e9 * spec.speed)
     deadline_s = args.timeout or max(30.0, 6.0 * span_s + 10.0)
 
-    print(f"reference: simulating {args.messages} messages "
-          f"({span_s:.1f}s of real time at speed {spec.speed}) ...",
-          file=sys.stderr, flush=True)
+    log(f"reference: simulating {args.messages} messages "
+        f"({span_s:.1f}s of real time at speed {spec.speed}) ...")
     reference = reference_run(spec)
-    ref_counts = {sink: len(s) for sink, s in reference.items()}
-    print(f"reference: {sum(ref_counts.values())} outputs "
-          f"across {len(ref_counts)} sink(s)", file=sys.stderr, flush=True)
+    total = sum(len(s) for s in reference.values())
+    log(f"reference: {total} outputs across {len(reference)} sink(s)")
 
     if args.record is not None:
         # Record the simulated twin: determinism makes it the faithful
@@ -649,78 +813,16 @@ def main(argv: Optional[List[str]] = None) -> int:
 
         bundle = record_run(spec, args.record, seed=args.seed,
                             source="cluster")
-        print(f"cluster: wrote replay bundle {bundle}",
-              file=sys.stderr, flush=True)
+        log(f"cluster: wrote replay bundle {bundle}")
 
-    trials: List[Tuple[str, Optional[str]]] = []
-    if not args.skip_clean:
-        trials.append(("networked-clean", None))
-    if kill_engine is not None:
-        trials.append((f"networked-kill-{kill_engine}", kill_engine))
-    if not trials:
-        trials.append(("networked-clean", None))
-
-    report = {"reference_outputs": sum(ref_counts.values()), "trials": {}}
-    metrics_docs: Dict[str, Dict] = {}
-    failed = False
-    for label, victim in trials:
-        print(f"{label}: launching "
-              f"{len(plan_cluster_nodes(spec)) - 1} child process(es) ...",
-              file=sys.stderr, flush=True)
-        result = _trial(label, spec, ref_counts, victim,
-                        args.kill_fraction, deadline_s)
-        verdict = verify_trace_equivalence(
-            reference, result.pop("streams"), trial=label,
-            require_complete=True,
-        )
-        liveness = (group_liveness(spec, result, victim, ref_counts)
-                    if victim is not None else None)
-        result.pop("arrival_ticks", None)  # bulky; judged above
-        metrics_docs[label] = result.pop("metrics", None)
-        result["liveness"] = liveness
-        ok = (verdict.deterministic and result["complete"]
-              and not result["error"]
-              and (liveness is None or liveness["ok"]))
-        failed = failed or not ok
-        result["deterministic"] = verdict.deterministic
-        result["ok"] = ok
-        report["trials"][label] = result
-        status = "OK" if ok else "FAIL"
-        print(f"{label}: {status} — {sum(result['counts'].values())}"
-              f"/{sum(ref_counts.values())} outputs in "
-              f"{result['elapsed_s']}s, stutter={result['stutter']}, "
-              f"epoch_resets={result['epoch_resets']}"
-              + (f", killed {result['killed']['engine']} after "
-                 f"{result['killed']['at_outputs']} outputs"
-                 if result["killed"] else ""),
-              file=sys.stderr, flush=True)
-        if liveness is not None:
-            print(f"{label}: non-victim liveness "
-                  f"{'OK' if liveness['ok'] else 'FAIL'} — "
-                  f"{len(liveness['independent_sinks'])} independent "
-                  f"sink(s), stalled={liveness['stalled_sinks']}",
-                  file=sys.stderr, flush=True)
-        for proc, audit in sorted(result.get("audit_reports", {}).items()):
-            print(f"{label}: audit[{proc}]: "
-                  f"{json.dumps(audit, sort_keys=True)}",
-                  file=sys.stderr, flush=True)
-        if result["error"]:
-            print(f"{label}: error: {result['error']}",
-                  file=sys.stderr, flush=True)
-        if not verdict.deterministic:
-            print(verdict.summary(), file=sys.stderr, flush=True)
-
-    if args.metrics_out is not None:
-        Path(args.metrics_out).write_text(
-            json.dumps(metrics_docs, indent=2, sort_keys=True) + "\n")
-        print(f"cluster: wrote metrics to {args.metrics_out}",
-              file=sys.stderr, flush=True)
-    if args.as_json:
-        print(json.dumps(report, indent=2, sort_keys=True))
-    print("cluster: " + ("all trials byte-identical to the simulated "
-                         "reference" if not failed else "FAILED"),
-          file=sys.stderr, flush=True)
-    return 1 if failed else 0
+    return run_trials(
+        args, "cluster", plan_trials("networked", args, kill_engine),
+        functools.partial(run_trial, spec=spec, reference=reference,
+                          kill_fraction=args.kill_fraction,
+                          deadline_s=deadline_s),
+        {"reference_outputs": total, "trials": {}},
+        "all trials byte-identical to the simulated reference",
+    )
 
 
 if __name__ == "__main__":

@@ -336,3 +336,50 @@ class TestGroupScenarios:
         ])
         assert schedule.sim_events(spec) == []
         assert schedule.expected_hosts(spec)["e0"] == "engine-e0"
+
+
+class TestDoubleFault:
+    """``double_fault`` sizes its second kill by ``spec.followers()``."""
+
+    @pytest.mark.parametrize("followers_per_group, replicas, kills", [
+        (None, 1, 2),
+        (1, 0, 2),
+        (2, 0, 2),
+        (0, 1, 1),
+        (None, 0, 1),
+    ])
+    def test_second_kill_follows_the_follower_count(
+            self, followers_per_group, replicas, kills):
+        from repro.net.topology import plan_cluster_nodes
+
+        spec = spec_for_tests(engines=["e0", "e1", "e2"], replicas=replicas,
+                              followers_per_group=followers_per_group)
+        processes = set(plan_cluster_nodes(spec))
+        for seed in range(20):
+            schedule = generate_schedule(seed, spec, "double_fault")
+            assert len(schedule.events) == kills, seed
+            for event in schedule.events:
+                assert event.target in processes, (seed, event.target)
+
+    @pytest.mark.parametrize("engines, rotation, double_fault", [
+        (2, "959390169b4934c3927cafb6d8f150534719458d5f93c6b8ef6b500bb54e61f4",
+         "f68734a2da0a20310eb854fa9efcd0ebbdab7e3701acc5f094f280b54df8531b"),
+        (3, "c6b7d1cb4159166afcb61c8059267cf921114722173ad8ee5643ff99a18e03ec",
+         "b8f55861cd98450a8b790ec2056baef53d9c8638c789368367d67fc441fbec8c"),
+    ])
+    def test_default_spec_schedules_are_pinned(self, engines, rotation,
+                                               double_fault):
+        """Seeds 0-19 keep their bytes, so saved schedules still replay."""
+        import hashlib
+
+        spec = spec_for_tests(engines=[f"e{i}" for i in range(engines)])
+
+        def digest(scenario):
+            h = hashlib.sha256()
+            for seed in range(20):
+                h.update(generate_schedule(seed, spec, scenario)
+                         .to_json().encode())
+            return h.hexdigest()
+
+        assert digest(None) == rotation
+        assert digest("double_fault") == double_fault

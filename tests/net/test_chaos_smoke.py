@@ -69,4 +69,5 @@ def test_chaos_unsurvivable_fails_structured():
                   log=lambda line: None)
     err = info.value
     assert err.schedule_seed == 9
-    assert "both dead" in err.lost_state
+    # The engine and its whole succession line died.
+    assert "and all 1 follower process(es) dead" in err.lost_state
